@@ -157,20 +157,13 @@ fn run_dataset(
     let mut t1 = None;
     for &p in &opts.processors {
         let (time_ms, best_spans) = with_processors(p, || {
-            let builder = CsrBuilder::new()
-                .processors(p)
-                .chunk_policy(opts.chunk_policy);
+            let builder = CsrBuilder::new().processors(p);
             let mut best = f64::INFINITY;
             let mut best_spans = Vec::new();
             for _ in 0..opts.reps {
                 let t = Instant::now();
                 let (csr, _) = builder.build_from_sorted(&sorted);
-                let packed = BitPackedCsr::from_csr_with_chunking(
-                    &csr,
-                    PackedCsrMode::Gap,
-                    p,
-                    opts.chunk_policy,
-                );
+                let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Gap, p);
                 let elapsed = t.elapsed().as_secs_f64() * 1e3;
                 std::hint::black_box(&packed);
                 // Draining per rep keeps only this rep's spans, so the
@@ -240,7 +233,6 @@ mod tests {
             mem_metrics: false,
             mem_sample: None,
             imbalance: false,
-            chunk_policy: parcsr::ChunkPolicy::default(),
         }
     }
 

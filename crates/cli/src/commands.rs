@@ -7,8 +7,8 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::time::Instant;
 
-use parcsr::query::{edges_exist_batch_binary_with_chunking, neighbors_batch_with_chunking};
-use parcsr::{BitPackedCsr, ChunkPolicy, CsrBuilder, PackedCsrMode};
+use parcsr::query::{edges_exist_batch_binary, neighbors_batch};
+use parcsr::{BitPackedCsr, CsrBuilder, PackedCsrMode};
 use parcsr_graph::gen::{barabasi_albert, erdos_renyi, rmat, BaParams, ErParams, RmatParams};
 use parcsr_graph::{io as gio, DegreeStats, EdgeList};
 
@@ -45,8 +45,7 @@ pub fn execute(command: &Command) -> Result<String, CliError> {
             out,
             gap,
             procs,
-            chunk_policy,
-        } => compress(input, out, *gap, resolve_procs(*procs), *chunk_policy),
+        } => compress(input, out, *gap, resolve_procs(*procs)),
         Command::Stats { input } => stats(input),
         Command::Info { input } => info(input),
         Command::Watch {
@@ -60,21 +59,13 @@ pub fn execute(command: &Command) -> Result<String, CliError> {
             neighbors,
             edges,
             procs,
-            chunk_policy,
-        } => query(
-            input,
-            neighbors,
-            edges,
-            resolve_procs(*procs),
-            *chunk_policy,
-        ),
+        } => query(input, neighbors, edges, resolve_procs(*procs)),
         Command::TemporalCompress {
             input,
             out,
             gap,
             procs,
-            chunk_policy,
-        } => temporal_compress(input, out, *gap, resolve_procs(*procs), *chunk_policy),
+        } => temporal_compress(input, out, *gap, resolve_procs(*procs)),
         Command::TemporalQuery {
             input,
             frame,
@@ -85,13 +76,7 @@ pub fn execute(command: &Command) -> Result<String, CliError> {
     }
 }
 
-fn temporal_compress(
-    input: &str,
-    out: &str,
-    gap: bool,
-    procs: usize,
-    chunk_policy: ChunkPolicy,
-) -> Result<String, CliError> {
+fn temporal_compress(input: &str, out: &str, gap: bool, procs: usize) -> Result<String, CliError> {
     let events = gio::read_temporal_edge_list_file(input)
         .map_err(|e| err(format!("reading {input}: {e}")))?;
     let mode = if gap {
@@ -103,7 +88,6 @@ fn temporal_compress(
     let tcsr = parcsr_temporal::TcsrBuilder::new()
         .processors(procs)
         .frame_mode(mode)
-        .chunk_policy(chunk_policy)
         .build(&events);
     let ms = t.elapsed().as_secs_f64() * 1e3;
     let file = File::create(out).map_err(|e| err(format!("creating {out}: {e}")))?;
@@ -190,13 +174,7 @@ fn generate(
     ))
 }
 
-fn compress(
-    input: &str,
-    out: &str,
-    gap: bool,
-    procs: usize,
-    chunk_policy: ChunkPolicy,
-) -> Result<String, CliError> {
+fn compress(input: &str, out: &str, gap: bool, procs: usize) -> Result<String, CliError> {
     let graph =
         gio::read_edge_list_file(input).map_err(|e| err(format!("reading {input}: {e}")))?;
     let mode = if gap {
@@ -206,11 +184,8 @@ fn compress(
     };
 
     let t = Instant::now();
-    let (csr, timings) = CsrBuilder::new()
-        .processors(procs)
-        .chunk_policy(chunk_policy)
-        .build_timed(&graph);
-    let packed = BitPackedCsr::from_csr_with_chunking(&csr, mode, procs, chunk_policy);
+    let (csr, timings) = CsrBuilder::new().processors(procs).build_timed(&graph);
+    let packed = BitPackedCsr::from_csr(&csr, mode, procs);
     let total_ms = t.elapsed().as_secs_f64() * 1e3;
 
     let file = File::create(out).map_err(|e| err(format!("creating {out}: {e}")))?;
@@ -277,7 +252,6 @@ fn query(
     neighbors: &[u32],
     edges: &[(u32, u32)],
     procs: usize,
-    chunk_policy: ChunkPolicy,
 ) -> Result<String, CliError> {
     let packed = load_pcsr(input)?;
     let n = packed.num_nodes() as u32;
@@ -292,7 +266,7 @@ fn query(
 
     let mut report = String::new();
     if !neighbors.is_empty() {
-        let rows = neighbors_batch_with_chunking(&packed, neighbors, procs, chunk_policy);
+        let rows = neighbors_batch(&packed, neighbors, procs);
         for (u, row) in neighbors.iter().zip(rows) {
             let preview: Vec<u32> = row.iter().copied().take(16).collect();
             let _ = writeln!(
@@ -304,7 +278,7 @@ fn query(
         }
     }
     if !edges.is_empty() {
-        let answers = edges_exist_batch_binary_with_chunking(&packed, edges, procs, chunk_policy);
+        let answers = edges_exist_batch_binary(&packed, edges, procs);
         for (&(u, v), exists) in edges.iter().zip(answers) {
             let _ = writeln!(report, "edge ({u}, {v}): {exists}");
         }
@@ -343,7 +317,6 @@ mod tests {
             out: pcsr.clone(),
             gap: true,
             procs: 2,
-            chunk_policy: ChunkPolicy::Edges,
         })
         .unwrap();
         assert!(report.contains("packed CSR"), "{report}");
@@ -360,7 +333,6 @@ mod tests {
             neighbors: vec![0, 1],
             edges: vec![(0, 1)],
             procs: 2,
-            chunk_policy: ChunkPolicy::Edges,
         })
         .unwrap();
         assert!(report.contains("neighbors(0)"), "{report}");
@@ -387,7 +359,6 @@ mod tests {
             out: pcsr.clone(),
             gap: false,
             procs: 1,
-            chunk_policy: ChunkPolicy::Rows,
         })
         .unwrap();
         let e = execute(&Command::Query {
@@ -395,7 +366,6 @@ mod tests {
             neighbors: vec![500],
             edges: vec![],
             procs: 1,
-            chunk_policy: ChunkPolicy::Edges,
         })
         .unwrap_err();
         assert!(e.to_string().contains("out of range"));
@@ -416,7 +386,6 @@ mod tests {
             out: tcsr_path.clone(),
             gap: true,
             procs: 2,
-            chunk_policy: ChunkPolicy::Edges,
         })
         .unwrap();
         assert!(report.contains("gap mode"), "{report}");
@@ -456,7 +425,6 @@ mod tests {
             out: out.clone(),
             gap: false,
             procs: 1,
-            chunk_policy: ChunkPolicy::Rows,
         })
         .unwrap();
         let e = execute(&Command::TemporalQuery {
@@ -482,6 +450,28 @@ mod tests {
         })
         .unwrap_err();
         assert!(e.to_string().contains("opening"));
+    }
+
+    #[test]
+    fn info_rejects_an_oversized_header_without_aborting() {
+        // A 57-byte header claiming 2^40 nodes and no edges, with widths
+        // and bit lengths that agree with those counts: reading it must
+        // fail on the missing payload, not reserve ~128 GiB up front.
+        let path = tmp("oversized-header.pcsr");
+        let n = 1u64 << 40;
+        let mut bytes = b"PARCSR\0\x01".to_vec();
+        bytes.push(0); // raw mode
+        bytes.extend_from_slice(&n.to_le_bytes()); // nodes
+        bytes.extend_from_slice(&0u64.to_le_bytes()); // edges
+        bytes.extend_from_slice(&1u32.to_le_bytes()); // offset width
+        bytes.extend_from_slice(&(n + 1).to_le_bytes()); // offset count
+        bytes.extend_from_slice(&1u32.to_le_bytes()); // column width
+        bytes.extend_from_slice(&0u64.to_le_bytes()); // column count
+        bytes.extend_from_slice(&(n + 1).to_le_bytes()); // offset bits
+        assert_eq!(bytes.len(), 57);
+        std::fs::write(&path, &bytes).unwrap();
+        let e = execute(&Command::Info { input: path }).unwrap_err();
+        assert!(e.to_string().contains("loading"), "{e}");
     }
 
     #[test]

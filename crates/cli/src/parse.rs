@@ -3,8 +3,6 @@
 
 use std::fmt;
 
-use parcsr::ChunkPolicy;
-
 /// Which synthetic model `generate` uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Model {
@@ -42,8 +40,6 @@ pub enum Command {
         gap: bool,
         /// Processor count (0 = all).
         procs: usize,
-        /// How build stages split rows into parallel chunks.
-        chunk_policy: ChunkPolicy,
     },
     /// Print degree statistics of a SNAP text file.
     Stats {
@@ -65,8 +61,6 @@ pub enum Command {
         edges: Vec<(u32, u32)>,
         /// Processor count (0 = all).
         procs: usize,
-        /// How query batches split across processors.
-        chunk_policy: ChunkPolicy,
     },
     /// Compress a temporal triplet file (`u v t` lines) into a `.tcsr`.
     TemporalCompress {
@@ -78,8 +72,6 @@ pub enum Command {
         gap: bool,
         /// Processor count (0 = all).
         procs: usize,
-        /// How the event stream splits into parallel chunks.
-        chunk_policy: ChunkPolicy,
     },
     /// Poll a running process's admin plane and render a live per-kind /
     /// per-degree-class latency table.
@@ -219,19 +211,12 @@ usage: parcsr <command> [flags]
 commands:
   generate --nodes N --edges M --out FILE [--model rmat|er|ba] [--seed S]
   compress INPUT --out FILE [--mode raw|gap] [--procs P]
-           [--chunk-policy rows|edges]
   stats    INPUT
   info     FILE.pcsr
   query    FILE.pcsr [--neighbors u1,u2,...] [--edge u,v] [--procs P]
-           [--chunk-policy rows|edges]
   temporal-compress INPUT --out FILE [--mode random|gap] [--procs P]
-           [--chunk-policy rows|edges]
   temporal-query FILE.tcsr --frame T [--edge u,v] [--neighbors u1,u2] [--count]
   watch    HOST:PORT [--interval-ms N] [--once] [--out FILE]
-
-  --chunk-policy controls how parallel work splits into chunks: `edges`
-  (default) weights rows/queries by degree so hub nodes spread across
-  processors; `rows` restores the historical near-equal count split.
 
   watch polls a running process's admin plane (see --admin-port) and
   renders a refreshing per-kind/per-class latency table; --once scrapes a
@@ -334,7 +319,6 @@ impl Command {
                     .value("compress")
                     .map_err(|_| invalid("compress requires an input path"))?;
                 let (mut out, mut gap, mut procs) = (None, true, 0usize);
-                let mut chunk_policy = ChunkPolicy::default();
                 while let Some(flag) = args.items.next() {
                     match flag.as_str() {
                         "--out" => out = Some(args.value("--out")?),
@@ -346,10 +330,6 @@ impl Command {
                             }
                         }
                         "--procs" => procs = args.parsed("--procs")?,
-                        "--chunk-policy" => {
-                            chunk_policy = ChunkPolicy::parse(&args.value("--chunk-policy")?)
-                                .map_err(invalid)?
-                        }
                         other => return Err(invalid(format!("unknown flag {other}"))),
                     }
                 }
@@ -358,7 +338,6 @@ impl Command {
                     out: out.ok_or_else(|| invalid("compress requires --out"))?,
                     gap,
                     procs,
-                    chunk_policy,
                 })
             }
             "stats" => Ok(Command::Stats {
@@ -376,7 +355,6 @@ impl Command {
                     .value("query")
                     .map_err(|_| invalid("query requires an input path"))?;
                 let (mut neighbors, mut edges, mut procs) = (Vec::new(), Vec::new(), 0usize);
-                let mut chunk_policy = ChunkPolicy::default();
                 while let Some(flag) = args.items.next() {
                     match flag.as_str() {
                         "--neighbors" => {
@@ -390,10 +368,6 @@ impl Command {
                         }
                         "--edge" => edges.push(parse_pair(&args.value("--edge")?, "--edge")?),
                         "--procs" => procs = args.parsed("--procs")?,
-                        "--chunk-policy" => {
-                            chunk_policy = ChunkPolicy::parse(&args.value("--chunk-policy")?)
-                                .map_err(invalid)?
-                        }
                         other => return Err(invalid(format!("unknown flag {other}"))),
                     }
                 }
@@ -405,7 +379,6 @@ impl Command {
                     neighbors,
                     edges,
                     procs,
-                    chunk_policy,
                 })
             }
             "temporal-compress" => {
@@ -413,7 +386,6 @@ impl Command {
                     .value("temporal-compress")
                     .map_err(|_| invalid("temporal-compress requires an input path"))?;
                 let (mut out, mut gap, mut procs) = (None, true, 0usize);
-                let mut chunk_policy = ChunkPolicy::default();
                 while let Some(flag) = args.items.next() {
                     match flag.as_str() {
                         "--out" => out = Some(args.value("--out")?),
@@ -425,10 +397,6 @@ impl Command {
                             }
                         }
                         "--procs" => procs = args.parsed("--procs")?,
-                        "--chunk-policy" => {
-                            chunk_policy = ChunkPolicy::parse(&args.value("--chunk-policy")?)
-                                .map_err(invalid)?
-                        }
                         other => return Err(invalid(format!("unknown flag {other}"))),
                     }
                 }
@@ -437,7 +405,6 @@ impl Command {
                     out: out.ok_or_else(|| invalid("temporal-compress requires --out"))?,
                     gap,
                     procs,
-                    chunk_policy,
                 })
             }
             "temporal-query" => {
@@ -558,55 +525,29 @@ mod tests {
                 out: "out.pcsr".into(),
                 gap: true,
                 procs: 0,
-                chunk_policy: ChunkPolicy::Edges,
             }
         );
     }
 
     #[test]
     fn chunk_policy_flag() {
-        let c = parse(&["compress", "in.txt", "--out", "o", "--chunk-policy", "rows"]).unwrap();
-        assert!(matches!(
-            c,
-            Command::Compress {
-                chunk_policy: ChunkPolicy::Rows,
-                ..
-            }
-        ));
-        let c = parse(&[
-            "query",
-            "g.pcsr",
-            "--edge",
-            "1,2",
-            "--chunk-policy",
-            "edges",
-        ])
-        .unwrap();
-        assert!(matches!(
-            c,
-            Command::Query {
-                chunk_policy: ChunkPolicy::Edges,
-                ..
-            }
-        ));
-        let c = parse(&[
-            "temporal-compress",
-            "ev.txt",
-            "--out",
-            "g.tcsr",
-            "--chunk-policy",
-            "rows",
-        ])
-        .unwrap();
-        assert!(matches!(
-            c,
-            Command::TemporalCompress {
-                chunk_policy: ChunkPolicy::Rows,
-                ..
-            }
-        ));
-        assert!(parse(&["compress", "in.txt", "--out", "o", "--chunk-policy", "nope"]).is_err());
-        assert!(parse(&["compress", "in.txt", "--out", "o", "--chunk-policy"]).is_err());
+        // The retired chunk-policy flag is an unknown flag on every
+        // subcommand that used to take it, so old scripts fail loudly. The
+        // name is spelled in pieces so it appears nowhere else in the tree.
+        let flag = concat!("--chunk", "-policy");
+        for args in [
+            &["compress", "in.txt", "--out", "o"][..],
+            &["query", "g.pcsr", "--edge", "1,2"][..],
+            &["temporal-compress", "ev.txt", "--out", "g.tcsr"][..],
+        ] {
+            let mut args = args.to_vec();
+            args.extend([flag, "rows"]);
+            let err = parse(&args).unwrap_err();
+            assert!(
+                err.to_string().contains(&format!("unknown flag {flag}")),
+                "{args:?}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -645,7 +586,6 @@ mod tests {
                 neighbors: vec![1, 2, 3],
                 edges: vec![(4, 5), (6, 7)],
                 procs: 0,
-                chunk_policy: ChunkPolicy::Edges,
             }
         );
     }
@@ -673,7 +613,6 @@ mod tests {
                 out: "g.tcsr".into(),
                 gap: false,
                 procs: 0,
-                chunk_policy: ChunkPolicy::Edges,
             }
         );
         assert!(parse(&["temporal-compress", "ev.txt"]).is_err());

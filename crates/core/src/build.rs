@@ -2,7 +2,7 @@
 //!
 //! Pipeline: sort the edge list by source (precondition of Algorithm 2) →
 //! compute the degree array in parallel (Algorithms 2–3) → prefix-sum the
-//! degrees into row offsets (Algorithm 1 / any scan in `parcsr-scan`) →
+//! degrees into row offsets (Algorithm 1, the chunked scan) →
 //! fill the column array in parallel. Because the edge list is sorted by
 //! `(source, target)`, the column array *is* the target column of the sorted
 //! list, so the fill is a parallel copy and every row comes out sorted —
@@ -11,10 +11,9 @@
 use std::time::Instant;
 
 use parcsr_graph::{EdgeList, NodeId};
-use parcsr_runtime::split_mut_by_ranges;
-use parcsr_scan::{ScanAlgorithm, Scanner};
+use parcsr_runtime::{plan, run_chunked, split_mut_by_ranges};
+use parcsr_scan::inclusive_scan_chunked;
 
-use crate::chunked::{run_chunked, ChunkPolicy};
 use crate::degree::degrees_parallel;
 
 /// A Compressed Sparse Row graph: `offsets` (the paper's `iA`, as row start
@@ -190,37 +189,19 @@ impl BuildTimings {
 #[derive(Debug, Clone, Copy)]
 pub struct CsrBuilder {
     processors: usize,
-    scan: ScanAlgorithm,
-    chunk_policy: ChunkPolicy,
 }
 
 impl CsrBuilder {
-    /// Builder with the paper's defaults: chunked scan, one chunk per
-    /// current rayon thread, edge-weighted chunking.
+    /// Builder with the paper's default: one chunk per current rayon thread.
     pub fn new() -> Self {
         CsrBuilder {
             processors: rayon::current_num_threads(),
-            scan: ScanAlgorithm::Chunked,
-            chunk_policy: ChunkPolicy::default(),
         }
     }
 
     /// Sets the logical processor count (number of chunks).
     pub fn processors(mut self, p: usize) -> Self {
         self.processors = p.max(1);
-        self
-    }
-
-    /// Sets the scan algorithm used for the offset array.
-    pub fn scan_algorithm(mut self, alg: ScanAlgorithm) -> Self {
-        self.scan = alg;
-        self
-    }
-
-    /// Sets the chunking policy for the column-fill stage. The output CSR is
-    /// identical either way; only the parallel work split changes.
-    pub fn chunk_policy(mut self, policy: ChunkPolicy) -> Self {
-        self.chunk_policy = policy;
         self
     }
 
@@ -268,29 +249,30 @@ impl CsrBuilder {
         );
         timings.degree_ms = ms_since(t);
 
-        // Algorithm 1: prefix sum -> row offsets (exclusive scan, one extra
-        // trailing slot holding the total).
+        // Algorithm 1: prefix sum -> row offsets. Built in place: write
+        // `[0, degrees…]`, then inclusive-scan `[1..]`, so slot `u + 1` ends
+        // up holding the end of row `u` and the last slot the edge total.
         let t = Instant::now();
         let offsets =
             parcsr_obs::with_span_args("scan", parcsr_obs::SpanArgs::new().edges(n as u64), || {
-                let degrees64: Vec<u64> = degrees.iter().map(|&d| u64::from(d)).collect();
-                let scanner = Scanner::with_chunks(self.scan, p);
-                let mut offsets = scanner.exclusive_scan(&degrees64);
-                offsets.push(sorted.num_edges() as u64);
+                let mut offsets = Vec::with_capacity(n + 1);
+                offsets.push(0u64);
+                offsets.extend(degrees.iter().map(|&d| u64::from(d)));
+                inclusive_scan_chunked(&mut offsets[1..], p);
                 offsets
             });
         timings.scan_ms = ms_since(t);
 
         // Column fill: the sorted edge list's target column, copied in
-        // row chunks planned by the chunking policy. Under the default
-        // edge-weighted plan a hub row's edges stay inside one worker's chunk
-        // instead of inflating whichever row-balanced chunk drew the hub.
+        // edge-weighted row chunks, so a hub row's edges stay inside one
+        // worker's chunk instead of inflating whichever row-balanced chunk
+        // drew the hub.
         let t = Instant::now();
         let targets: Vec<NodeId> = parcsr_obs::with_span_args(
             "scatter",
             parcsr_obs::SpanArgs::new().edges(sorted.num_edges() as u64),
             || {
-                let plan = self.chunk_policy.plan(&offsets, p);
+                let plan = plan(&offsets, p);
                 let edge_ranges: Vec<_> = plan
                     .iter()
                     .map(|c| offsets[c.range.start] as usize..offsets[c.range.end] as usize)
@@ -336,7 +318,7 @@ fn ms_since(t: Instant) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parcsr_graph::gen::{erdos_renyi, rmat, ErParams, RmatParams};
+    use parcsr_graph::gen::{rmat, RmatParams};
 
     fn paper_example() -> EdgeList {
         // The 10-node graph of Table I (upper triangular + mirrored rows as
@@ -382,19 +364,6 @@ mod tests {
         for p in [1, 2, 4, 8, 32] {
             let got = CsrBuilder::new().processors(p).build(&g);
             assert_eq!(got, want, "p={p}");
-        }
-    }
-
-    #[test]
-    fn all_scan_algorithms_agree() {
-        let g = erdos_renyi(ErParams::new(700, 5_000, 5));
-        let want = Csr::from_edge_list_sequential(&g);
-        for alg in ScanAlgorithm::ALL {
-            let got = CsrBuilder::new()
-                .processors(6)
-                .scan_algorithm(alg)
-                .build(&g);
-            assert_eq!(got, want, "{}", alg.name());
         }
     }
 
@@ -468,22 +437,6 @@ mod tests {
         }
         // Double transpose is the identity.
         assert_eq!(t.transposed(), csr);
-    }
-
-    #[test]
-    fn chunk_policy_does_not_change_csr() {
-        let g = rmat(RmatParams::new(512, 8_000, 5));
-        for p in [1, 2, 7, 64] {
-            let rows = CsrBuilder::new()
-                .processors(p)
-                .chunk_policy(ChunkPolicy::Rows)
-                .build(&g);
-            let edges = CsrBuilder::new()
-                .processors(p)
-                .chunk_policy(ChunkPolicy::Edges)
-                .build(&g);
-            assert_eq!(rows, edges, "p={p}");
-        }
     }
 
     #[test]

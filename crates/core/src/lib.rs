@@ -10,7 +10,7 @@
 //!   resolves chunk-boundary overlaps without synchronization on the hot
 //!   path, plus the atomic-increment ablation comparator.
 //! * [`build`] — the parallel CSR constructor: sort → parallel degrees →
-//!   prefix-sum offsets (any [`parcsr_scan::ScanAlgorithm`]) → parallel
+//!   prefix-sum offsets (the chunked scan of Algorithm 1) → parallel
 //!   column fill, with per-stage timings for the evaluation harness.
 //! * [`packed`] — Algorithm 4: the bit-packed CSR (`iA` and `jA` compressed
 //!   with the fixed-width codec of \[7\], chunk-parallel with merge), the
@@ -19,9 +19,9 @@
 //!   edge-existence queries, and single-edge existence with the neighbor
 //!   list itself split across processors (including the binary-search
 //!   refinement the paper suggests).
-//! * [`pool`] — explicit "number of processors" control: every parallel
-//!   routine here can be pinned to a `p`-thread pool, which is how the
-//!   Table II processor sweep is produced.
+//! * [`with_processors`] — explicit "number of processors" control: every
+//!   parallel routine here can be pinned to a `p`-thread pool, which is how
+//!   the Table II processor sweep is produced.
 //!
 //! Beyond the paper's minimal pipeline:
 //!
@@ -58,20 +58,17 @@
 //! ```
 
 pub mod build;
-pub mod chunked;
 pub mod degree;
 pub mod packed;
-pub mod pool;
 pub mod query;
 pub mod serial;
 pub mod stream;
 pub mod weighted;
 
 pub use build::{BuildTimings, Csr, CsrBuilder};
-pub use chunked::{run_chunked, run_chunked_plan, Chunk, ChunkPolicy};
 pub use degree::{degrees_atomic, degrees_parallel};
 pub use packed::{BitPackedCsr, PackedCsrMode, PackedRowIter};
-pub use pool::with_processors;
+pub use parcsr_runtime::pool::with_processors;
 pub use query::NeighborSource;
 pub use serial::ReadError;
 pub use stream::{StreamError, StreamingCsrPacker};

@@ -18,9 +18,9 @@ use rayon::prelude::*;
 
 use parcsr_bitpack::{bits_needed, pack_parallel_with_width, GapDecode, PackedArray, RowCursor};
 use parcsr_graph::NodeId;
+use parcsr_runtime::{plan, run_chunked, split_mut_by_ranges, Chunk};
 
 use crate::build::Csr;
-use crate::chunked::{run_chunked, Chunk, ChunkPolicy};
 
 /// How the column array is transformed before packing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -57,25 +57,10 @@ pub struct BitPackedCsr {
 impl BitPackedCsr {
     /// Packs a CSR using `processors` parallel packers per array
     /// (Algorithm 4 runs the bit-pack once for `iA` and once for `jA`),
-    /// splitting the gap encode by edge count ([`ChunkPolicy::Edges`], the
-    /// workspace default — hub rows spread across workers instead of
-    /// dragging one chunk; `--chunk-policy rows` on the binaries restores
-    /// the historical row-count split).
+    /// splitting the gap encode by edge count so hub rows spread across
+    /// workers instead of dragging one chunk. The output is byte-identical
+    /// across processor counts.
     pub fn from_csr(csr: &Csr, mode: PackedCsrMode, processors: usize) -> Self {
-        Self::from_csr_with_chunking(csr, mode, processors, ChunkPolicy::default())
-    }
-
-    /// [`from_csr`](Self::from_csr) with an explicit chunk-splitting policy
-    /// for the gap encode. The policy only changes *which rows each worker
-    /// encodes* — the output is byte-identical across policies and processor
-    /// counts; [`ChunkPolicy::Edges`] balances hub-skewed graphs (see
-    /// `examples/imbalance.rs` for the measured utilization gap).
-    pub fn from_csr_with_chunking(
-        csr: &Csr,
-        mode: PackedCsrMode,
-        processors: usize,
-        policy: ChunkPolicy,
-    ) -> Self {
         parcsr_obs::span!("pack", edges = csr.num_edges() as u64);
         let offset_width = bits_needed(csr.num_edges() as u64);
         let offsets = parcsr_obs::with_span_args(
@@ -90,12 +75,11 @@ impl BitPackedCsr {
             || match mode {
                 PackedCsrMode::Raw => csr.targets().par_iter().map(|&v| u64::from(v)).collect(),
                 PackedCsrMode::Gap => {
-                    // Gap-code rows in parallel chunks; the policy decides
-                    // whether chunk boundaries balance row counts or edge
-                    // counts. Rows are whole within a chunk, so the output
-                    // slice splits cleanly at chunk edge boundaries.
+                    // Gap-code rows in parallel edge-weighted chunks. Rows
+                    // are whole within a chunk, so the output slice splits
+                    // cleanly at chunk edge boundaries.
                     let mut out = vec![0u64; csr.num_edges()];
-                    let plan = policy.plan(csr.offsets(), processors);
+                    let plan = plan(csr.offsets(), processors);
                     let edge_ranges: Vec<std::ops::Range<usize>> = plan
                         .iter()
                         .map(|c| {
@@ -103,7 +87,7 @@ impl BitPackedCsr {
                                 ..csr.offsets()[c.range.end] as usize
                         })
                         .collect();
-                    let slices = parcsr_scan::split_mut_by_ranges(&mut out, &edge_ranges);
+                    let slices = split_mut_by_ranges(&mut out, &edge_ranges);
                     let work: Vec<(Chunk, &mut [u64])> = plan.into_iter().zip(slices).collect();
                     run_chunked("pack.encode.chunk", work, |chunk, slice| {
                         let base = csr.offsets()[chunk.range.start] as usize;
@@ -430,24 +414,25 @@ mod tests {
 
     #[test]
     fn chunking_policy_does_not_change_output() {
+        // A hub row makes the edge-weighted plan split rows unevenly, so
+        // chunk seams land somewhere a row-count split would not put them.
         let csr = sample_csr();
-        let base = BitPackedCsr::from_csr(&csr, PackedCsrMode::Gap, 1);
+        let by_edges: Vec<_> = plan(csr.offsets(), 8)
+            .into_iter()
+            .map(|c| c.range)
+            .collect();
+        assert_ne!(by_edges, parcsr_runtime::chunk_ranges(csr.num_nodes(), 8));
         for mode in [PackedCsrMode::Raw, PackedCsrMode::Gap] {
-            let rows = BitPackedCsr::from_csr_with_chunking(&csr, mode, 1, ChunkPolicy::Rows);
-            for p in [1, 2, 3, 8, 64] {
-                for policy in [ChunkPolicy::Rows, ChunkPolicy::Edges] {
-                    assert_eq!(
-                        BitPackedCsr::from_csr_with_chunking(&csr, mode, p, policy),
-                        rows,
-                        "{mode:?} p={p} {policy:?}"
-                    );
-                }
+            let base = BitPackedCsr::from_csr(&csr, mode, 1);
+            assert_eq!(base.unpack(), csr, "{mode:?}");
+            for p in [2, 3, 8, 64] {
+                assert_eq!(
+                    BitPackedCsr::from_csr(&csr, mode, p),
+                    base,
+                    "{mode:?} p={p}"
+                );
             }
         }
-        assert_eq!(
-            BitPackedCsr::from_csr_with_chunking(&csr, PackedCsrMode::Gap, 4, ChunkPolicy::Edges),
-            base
-        );
     }
 
     #[test]

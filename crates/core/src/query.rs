@@ -18,9 +18,8 @@
 //!
 //! The batch drivers weight each query by the degree of its subject node
 //! (plus a constant per-query charge) and split the batch with the shared
-//! [`ChunkPolicy`] planner, so a run of hub queries no longer lands in one
-//! processor's chunk. [`ChunkPolicy::Rows`] restores the historical
-//! query-count split.
+//! edge-weighted planner ([`parcsr_runtime::plan`]), so a run of hub
+//! queries does not land in one processor's chunk.
 //!
 //! Every individual query is additionally accounted into the serving
 //! telemetry slabs (`parcsr_obs::serve`): latency per [`QueryKind`] per
@@ -34,10 +33,9 @@ use rayon::prelude::*;
 use parcsr_obs::serve::QueryKind;
 
 use parcsr_graph::NodeId;
-use parcsr_scan::chunk_ranges;
+use parcsr_runtime::{chunk_ranges, plan, run_chunked_plan};
 
 use crate::build::Csr;
-use crate::chunked::{run_chunked_plan, ChunkPolicy};
 use crate::packed::{BitPackedCsr, PackedCsrMode};
 
 /// Anything that can produce a node's sorted neighbor row. The query
@@ -143,7 +141,7 @@ impl NeighborSource for BitPackedCsr {
 
 /// Cumulative degrees of a query batch's subject nodes: `prefix[i+1] -
 /// prefix[i]` is the degree of query `i`, which is exactly the prefix-sum
-/// shape [`ChunkPolicy::plan`] weights by (the planner adds the constant
+/// shape [`parcsr_runtime::plan`] weights by (the planner adds the constant
 /// per-query charge itself).
 fn degree_prefix<S: NeighborSource>(
     source: &S,
@@ -163,32 +161,19 @@ fn degree_prefix<S: NeighborSource>(
 
 /// Algorithm 6: answers an array of neighborhood queries, the query array
 /// split into `processors` chunks answered concurrently. Result `i` is the
-/// sorted neighbor row of `queries[i]`. Splits with the default
-/// [`ChunkPolicy`] (edge-weighted); see [`neighbors_batch_with_chunking`].
+/// sorted neighbor row of `queries[i]`. Queries are weighted by
+/// `degree + 1`, so hub-heavy batches spread across processors.
 pub fn neighbors_batch<S: NeighborSource>(
     source: &S,
     queries: &[NodeId],
     processors: usize,
-) -> Vec<Vec<NodeId>> {
-    neighbors_batch_with_chunking(source, queries, processors, ChunkPolicy::default())
-}
-
-/// [`neighbors_batch`] with an explicit chunking policy: queries are
-/// weighted by `degree + 1` under [`ChunkPolicy::Edges`] so hub-heavy
-/// batches spread across processors, or split by query count under
-/// [`ChunkPolicy::Rows`]. The result is identical either way.
-pub fn neighbors_batch_with_chunking<S: NeighborSource>(
-    source: &S,
-    queries: &[NodeId],
-    processors: usize,
-    policy: ChunkPolicy,
 ) -> Vec<Vec<NodeId>> {
     let prefix = degree_prefix(source, queries.iter().copied(), queries.len());
     let _span = parcsr_obs::enter_with_args(
         "query.neighbors",
         parcsr_obs::SpanArgs::new().edges(*prefix.last().unwrap_or(&0)),
     );
-    let plan = policy.plan(&prefix, processors);
+    let plan = plan(&prefix, processors);
     let chunks: Vec<Vec<Vec<NodeId>>> = run_chunked_plan("query.neighbors.chunk", plan, |chunk| {
         // LINT: alloc-ok(one exactly-sized result container per chunk; the rows it holds are the API output)
         let mut out = Vec::with_capacity(chunk.range.len());
@@ -216,29 +201,17 @@ pub fn neighbors_batch_with_chunking<S: NeighborSource>(
 /// through [`NeighborSource::for_each_neighbor_while`] and exits at the
 /// first neighbor ≥ the target (the paper's linear scan with early exit on
 /// the sorted row) — no row materialization, no per-query allocation.
+/// Queries are weighted by the source node's `degree + 1` (a linear scan's
+/// cost is the row length).
 pub fn edges_exist_batch<S: NeighborSource>(
     source: &S,
     queries: &[(NodeId, NodeId)],
     processors: usize,
 ) -> Vec<bool> {
-    edges_exist_batch_with_chunking(source, queries, processors, ChunkPolicy::default())
-}
-
-/// [`edges_exist_batch`] with an explicit chunking policy: queries are
-/// weighted by the source node's `degree + 1` under [`ChunkPolicy::Edges`]
-/// (a linear scan's cost is the row length), or split by query count under
-/// [`ChunkPolicy::Rows`]. The result is identical either way.
-pub fn edges_exist_batch_with_chunking<S: NeighborSource>(
-    source: &S,
-    queries: &[(NodeId, NodeId)],
-    processors: usize,
-    policy: ChunkPolicy,
-) -> Vec<bool> {
     batch_edge_queries(
         source,
         queries,
         processors,
-        policy,
         QueryKind::EdgeScan,
         |source, u, v| {
             let mut found = false;
@@ -261,29 +234,18 @@ pub fn edges_exist_batch_with_chunking<S: NeighborSource>(
 /// plain CSR row slice, O(log deg) direct bit probes on a raw-mode packed
 /// CSR, streaming early-exit scan on a gap-mode one (where random access
 /// inside a row does not exist). No per-query allocation in any of those.
+/// The probe costs `O(log deg)` rather than `O(deg)`, but on a gap-coded row
+/// the native path is still a stream scan, so the same `degree + 1`
+/// weighting applies.
 pub fn edges_exist_batch_binary<S: NeighborSource>(
     source: &S,
     queries: &[(NodeId, NodeId)],
     processors: usize,
 ) -> Vec<bool> {
-    edges_exist_batch_binary_with_chunking(source, queries, processors, ChunkPolicy::default())
-}
-
-/// [`edges_exist_batch_binary`] with an explicit chunking policy. The
-/// binary-search probe costs `O(log deg)` rather than `O(deg)`, but on a
-/// gap-coded row the native path is still a stream scan, so the same
-/// `degree + 1` weighting applies.
-pub fn edges_exist_batch_binary_with_chunking<S: NeighborSource>(
-    source: &S,
-    queries: &[(NodeId, NodeId)],
-    processors: usize,
-    policy: ChunkPolicy,
-) -> Vec<bool> {
     batch_edge_queries(
         source,
         queries,
         processors,
-        policy,
         QueryKind::EdgeBinary,
         |source, u, v| source.has_edge(u, v),
     )
@@ -293,7 +255,6 @@ fn batch_edge_queries<S: NeighborSource>(
     source: &S,
     queries: &[(NodeId, NodeId)],
     processors: usize,
-    policy: ChunkPolicy,
     kind: QueryKind,
     probe: impl Fn(&S, NodeId, NodeId) -> bool + Sync,
 ) -> Vec<bool> {
@@ -302,7 +263,7 @@ fn batch_edge_queries<S: NeighborSource>(
         "query.edges",
         parcsr_obs::SpanArgs::new().edges(*prefix.last().unwrap_or(&0)),
     );
-    let plan = policy.plan(&prefix, processors);
+    let plan = plan(&prefix, processors);
     let chunks: Vec<Vec<bool>> = run_chunked_plan("query.edges.chunk", plan, |chunk| {
         queries[chunk.range.clone()]
             .iter()
@@ -507,34 +468,36 @@ mod tests {
     #[test]
     fn chunk_policy_does_not_change_query_results() {
         let (csr, packed) = fixtures();
-        // Front-load hub queries so the weighted plan actually differs from
-        // the count split.
+        // Front-load hub queries so the edge-weighted plan differs from a
+        // count split.
         let mut queries: Vec<NodeId> = (0..256).collect();
         queries.sort_by_key(|&u| std::cmp::Reverse(csr.degree(u)));
+        let prefix = degree_prefix(&packed, queries.iter().copied(), queries.len());
+        let by_edges: Vec<_> = plan(&prefix, 7).into_iter().map(|c| c.range).collect();
+        assert_ne!(by_edges, chunk_ranges(queries.len(), 7));
         let edge_queries: Vec<(NodeId, NodeId)> =
             queries.iter().map(|&u| (u, (u * 31) % 256)).collect();
+        let hoods: Vec<Vec<NodeId>> = queries.iter().map(|&u| csr.neighbors(u).to_vec()).collect();
+        let exists: Vec<bool> = edge_queries
+            .iter()
+            .map(|&(u, v)| csr.neighbors(u).contains(&v))
+            .collect();
         for p in [1, 2, 7, 64] {
-            let rows = neighbors_batch_with_chunking(&packed, &queries, p, ChunkPolicy::Rows);
-            let edges = neighbors_batch_with_chunking(&packed, &queries, p, ChunkPolicy::Edges);
-            assert_eq!(rows, edges, "neighbors p={p}");
-            let rows =
-                edges_exist_batch_with_chunking(&packed, &edge_queries, p, ChunkPolicy::Rows);
-            let edges =
-                edges_exist_batch_with_chunking(&packed, &edge_queries, p, ChunkPolicy::Edges);
-            assert_eq!(rows, edges, "edges p={p}");
-            let rows = edges_exist_batch_binary_with_chunking(
-                &packed,
-                &edge_queries,
-                p,
-                ChunkPolicy::Rows,
+            assert_eq!(
+                neighbors_batch(&packed, &queries, p),
+                hoods,
+                "neighbors p={p}"
             );
-            let edges = edges_exist_batch_binary_with_chunking(
-                &packed,
-                &edge_queries,
-                p,
-                ChunkPolicy::Edges,
+            assert_eq!(
+                edges_exist_batch(&packed, &edge_queries, p),
+                exists,
+                "edges p={p}"
             );
-            assert_eq!(rows, edges, "binary p={p}");
+            assert_eq!(
+                edges_exist_batch_binary(&packed, &edge_queries, p),
+                exists,
+                "binary p={p}"
+            );
         }
     }
 

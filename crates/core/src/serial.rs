@@ -27,6 +27,12 @@ use crate::packed::{BitPackedCsr, PackedCsrMode};
 /// Magic + format version.
 const MAGIC: [u8; 8] = *b"PARCSR\0\x01";
 
+/// Most bits a payload reserves before any of its words are read (64 MiB).
+/// A header may claim any length; larger payloads grow as words arrive, so
+/// a short file with a huge claimed length fails on the missing bytes
+/// instead of on the allocation.
+const MAX_RESERVE_BITS: usize = 1 << 29;
+
 /// Errors from deserializing a packed CSR.
 #[derive(Debug)]
 pub enum ReadError {
@@ -107,7 +113,7 @@ impl BitPackedCsr {
         let off_n = read_u64(r)? as usize;
         let col_w = read_u32(r)?;
         let col_n = read_u64(r)? as usize;
-        if off_n != n + 1 {
+        if Some(off_n) != n.checked_add(1) {
             return Err(ReadError::Corrupt("offset count must be num_nodes + 1"));
         }
         if col_n != m {
@@ -140,11 +146,11 @@ impl BitPackedCsr {
 
 fn read_packed<R: Read>(r: &mut R, width: u32, len: usize) -> Result<PackedArray, ReadError> {
     let bits = read_u64(r)? as usize;
-    if bits != len * width as usize {
+    if Some(bits) != len.checked_mul(width as usize) {
         return Err(ReadError::Corrupt("bit length does not match len * width"));
     }
     let words = bits.div_ceil(64);
-    let mut buf = BitBuf::with_capacity(bits);
+    let mut buf = BitBuf::with_capacity(bits.min(MAX_RESERVE_BITS));
     let mut scratch = [0u8; 8];
     let mut remaining = bits;
     for _ in 0..words {
@@ -267,6 +273,43 @@ mod tests {
             matches!(result, Err(ReadError::Corrupt(_))),
             "corruption must not produce a structure silently"
         );
+    }
+
+    /// A raw-mode header for `n` nodes and no edges, up to and including
+    /// the offsets bit length, with no payload words after it.
+    fn header_without_payload(n: u64, off_w: u32, off_n: u64, off_bits: u64) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        bytes.push(0);
+        bytes.extend_from_slice(&n.to_le_bytes());
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        bytes.extend_from_slice(&off_w.to_le_bytes());
+        bytes.extend_from_slice(&off_n.to_le_bytes());
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        bytes.extend_from_slice(&off_bits.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn oversized_header_fails_on_missing_payload() {
+        // 2^40 + 1 one-bit offsets would reserve 128 GiB up front.
+        let n = 1u64 << 40;
+        let bytes = header_without_payload(n, 1, n + 1, n + 1);
+        assert_eq!(bytes.len(), 57);
+        let err = BitPackedCsr::read_from(&mut bytes.as_slice()).unwrap_err();
+        assert!(matches!(err, ReadError::Io(_)), "{err}");
+    }
+
+    #[test]
+    fn overflowing_header_counts_are_corrupt() {
+        // n + 1 wraps.
+        let bytes = header_without_payload(u64::MAX, 1, 0, 0);
+        let err = BitPackedCsr::read_from(&mut bytes.as_slice()).unwrap_err();
+        assert!(matches!(err, ReadError::Corrupt(_)), "{err}");
+        // len * width wraps: 2^63 offsets at width 2.
+        let bytes = header_without_payload((1 << 63) - 1, 2, 1 << 63, 0);
+        let err = BitPackedCsr::read_from(&mut bytes.as_slice()).unwrap_err();
+        assert!(matches!(err, ReadError::Corrupt(_)), "{err}");
     }
 
     #[test]

@@ -9,7 +9,6 @@ use parcsr::query::{
 };
 use parcsr::{degrees_parallel, BitPackedCsr, Csr, CsrBuilder, PackedCsrMode};
 use parcsr_graph::EdgeList;
-use parcsr_scan::ScanAlgorithm;
 
 fn arb_graph(max_node: u32, max_edges: usize) -> impl Strategy<Value = EdgeList> {
     (
@@ -128,11 +127,11 @@ proptest! {
     }
 
     #[test]
-    fn scan_algorithm_choice_is_invisible(g in arb_graph(150, 400)) {
-        let base = CsrBuilder::new().scan_algorithm(ScanAlgorithm::Sequential).build(&g);
-        for alg in ScanAlgorithm::ALL {
-            let other = CsrBuilder::new().processors(5).scan_algorithm(alg).build(&g);
-            prop_assert_eq!(&other, &base, "{}", alg.name());
+    fn scan_chunk_count_is_invisible(g in arb_graph(150, 400)) {
+        let base = CsrBuilder::new().processors(1).build(&g);
+        for chunks in [2usize, 5, 7, 64] {
+            let other = CsrBuilder::new().processors(chunks).build(&g);
+            prop_assert_eq!(&other, &base, "chunks={}", chunks);
         }
     }
 

@@ -234,11 +234,7 @@ impl WorkspaceReport {
 /// Files allowed to contain `unsafe` code. Everything else in the
 /// workspace must be 100% safe Rust. `crates/obs/src/mem.rs` owns the
 /// counting `GlobalAlloc` (the trait itself is unsafe to implement).
-pub const UNSAFE_ALLOWLIST: &[&str] = &[
-    "crates/graph/src/sort.rs",
-    "crates/obs/src/mem.rs",
-    "shims/parking_lot/src/lib.rs",
-];
+pub const UNSAFE_ALLOWLIST: &[&str] = &["crates/graph/src/sort.rs", "crates/obs/src/mem.rs"];
 
 /// Hot query-path files: panicking constructs and allocating constructs are
 /// banned everywhere in these files — they run per neighbor-list lookup and
@@ -247,11 +243,7 @@ pub const HOT_PATHS: &[&str] = &["crates/core/src/query.rs", "crates/bitpack/src
 
 /// Files that must carry `#![deny(unsafe_op_in_unsafe_fn)]` (the crate
 /// roots owning the allowlisted `unsafe` code).
-pub const DENY_UNSAFE_OP_ROOTS: &[&str] = &[
-    "crates/graph/src/lib.rs",
-    "crates/obs/src/lib.rs",
-    "shims/parking_lot/src/lib.rs",
-];
+pub const DENY_UNSAFE_OP_ROOTS: &[&str] = &["crates/graph/src/lib.rs", "crates/obs/src/lib.rs"];
 
 /// Path prefixes exempt from the span-coverage pass: the runtime crate
 /// *defines* the chunked executors (and spans them internally), and the
@@ -1026,8 +1018,8 @@ pub fn analyze_file(file: &str, text: &str) -> FileReport {
                     line: i + 1,
                     rule: "unsafe-allowlist",
                     message: "`unsafe` outside the allowlist (crates/graph/src/sort.rs, \
-                              crates/obs/src/mem.rs, shims/parking_lot/src/lib.rs); \
-                              rewrite safely or move the code behind an allowlisted module"
+                              crates/obs/src/mem.rs); rewrite safely or move the code \
+                              behind an allowlisted module"
                         .to_string(),
                 });
             } else if !safety_documented(&raw_lines, i) {

@@ -1,7 +1,4 @@
-//! Load-imbalance study on a skewed hub graph: measure per-stage worker
-//! utilization with `parcsr_obs::analyze`, then A/B the gap-encode chunk
-//! policy — split rows by *row count* (the historical default) vs. by
-//! *edge count* — and report the straggler gap the hubs cause.
+//! Load-imbalance study on a skewed hub graph.
 //!
 //! The graph is adversarial on purpose: a block of 64 hub rows carries
 //! about half of all edges, so an equal-rows split hands one worker the
@@ -9,24 +6,33 @@
 //! early and idle at the join. An edge-count split spreads the hub block
 //! across workers.
 //!
-//! A second section runs the same A/B over a hub-heavy Algorithm 6/7
-//! query mix: a batch front-loaded with hub-row queries, split by query
-//! count vs. by per-query `degree + 1` weight.
+//! The study has two parts:
+//!
+//! 1. **Split skew** (deterministic, needs no tracing): per-chunk edge
+//!    max/mean of the two runtime splitters — `chunk_ranges` (near-equal
+//!    row counts) vs. `chunk_ranges_by_prefix_sum` (near-equal edge
+//!    counts, the split every row-chunked stage uses) — on the hub graph's
+//!    CSR offsets and on the degree prefix of a hub-heavy Algorithm 6/7
+//!    query batch.
+//! 2. **Per-stage utilization** under that one plan: the build, pack and
+//!    query stages measured with `parcsr_obs::analyze`.
 //!
 //! ```text
 //! cargo run --release -p parcsr --features parcsr-obs/enabled --example imbalance
 //! ```
 //!
-//! Without the obs feature the pipeline still runs, but no spans are
-//! recorded and the analyzer has nothing to report. Measured results are
-//! recorded in EXPERIMENTS.md ("Chunk-policy imbalance study").
+//! Without the obs feature part 1 still prints, but no spans are recorded
+//! and part 2 has nothing to report. Measured results are recorded in
+//! EXPERIMENTS.md ("Chunk-policy imbalance study").
 
+use std::ops::Range;
 use std::time::Instant;
 
-use parcsr::query::{edges_exist_batch_binary_with_chunking, neighbors_batch_with_chunking};
-use parcsr::{with_processors, BitPackedCsr, ChunkPolicy, CsrBuilder, PackedCsrMode};
+use parcsr::query::{edges_exist_batch_binary, neighbors_batch};
+use parcsr::{with_processors, BitPackedCsr, Csr, CsrBuilder, PackedCsrMode};
 use parcsr_graph::{EdgeList, NodeId};
-use parcsr_obs::analyze::{analyze_records, chunk_stats, ChunkStats, TraceAnalysis};
+use parcsr_obs::analyze::{analyze_records, TraceAnalysis};
+use parcsr_runtime::{chunk_ranges, chunk_ranges_by_prefix_sum};
 
 /// Nodes in the graph.
 const NODES: u32 = 200_000;
@@ -68,31 +74,6 @@ fn hub_graph() -> EdgeList {
     EdgeList::new(NODES as usize, edges)
 }
 
-/// One measured cell: fastest-of-`REPS` build+pack, with the fastest rep's
-/// spans analyzed. Returns (pipeline wall ms, analysis).
-fn measure(sorted: &EdgeList, p: usize, policy: ChunkPolicy) -> (f64, TraceAnalysis) {
-    with_processors(p, || {
-        let mut best = f64::INFINITY;
-        let mut best_spans = Vec::new();
-        for _ in 0..REPS {
-            let t = Instant::now();
-            let (csr, _) = CsrBuilder::new()
-                .processors(p)
-                .chunk_policy(policy)
-                .build_from_sorted(sorted);
-            let packed = BitPackedCsr::from_csr_with_chunking(&csr, PackedCsrMode::Gap, p, policy);
-            let elapsed = t.elapsed().as_secs_f64() * 1e3;
-            std::hint::black_box(&packed);
-            let spans = parcsr_obs::drain();
-            if elapsed < best {
-                best = elapsed;
-                best_spans = spans;
-            }
-        }
-        (best, analyze_records(&best_spans))
-    })
-}
-
 /// Hub-heavy Algorithm 6/7 batch: every hub row is queried four times at
 /// the front of the batch, the tail samples ordinary nodes. A count split
 /// hands the entire hub prefix to the first workers; the `degree + 1`
@@ -114,23 +95,50 @@ fn hub_heavy_queries() -> (Vec<NodeId>, Vec<(NodeId, NodeId)>) {
     (neighbors, edges)
 }
 
-/// One measured query cell: fastest-of-`REPS` runs of an Algorithm 6
-/// neighborhood batch plus an Algorithm 7 binary edge-existence batch on
-/// the packed CSR, with the fastest rep's spans analyzed.
-fn measure_queries(
-    packed: &BitPackedCsr,
+/// Max/mean of the edges each range of `ranges` covers in the prefix sum
+/// `prefix` (1.00 is a perfect split).
+fn edge_skew(prefix: &[u64], ranges: &[Range<usize>]) -> f64 {
+    let edges: Vec<u64> = ranges
+        .iter()
+        .map(|r| prefix[r.end] - prefix[r.start])
+        .collect();
+    let mean = edges.iter().sum::<u64>() as f64 / edges.len() as f64;
+    let max = edges.iter().copied().max().unwrap_or(0) as f64;
+    if mean > 0.0 {
+        max / mean
+    } else {
+        1.0
+    }
+}
+
+/// Prints the row-count vs. edge-weighted split skew of `prefix` at each
+/// processor count.
+fn print_split_skew(label: &str, prefix: &[u64]) {
+    for p in [2usize, 8, 64] {
+        let rows = edge_skew(prefix, &chunk_ranges(prefix.len() - 1, p));
+        let edges = edge_skew(prefix, &chunk_ranges_by_prefix_sum(prefix, p));
+        println!("  {label:<8} p={p:<2}  rows {rows:>6.2}x   edges {edges:>5.2}x");
+    }
+}
+
+/// Fastest-of-`REPS` build + gap pack + hub-heavy query batches at `p`
+/// processors, with the fastest rep's spans analyzed. Returns (wall ms,
+/// analysis).
+fn measure(
+    sorted: &EdgeList,
     neighbor_queries: &[NodeId],
     edge_queries: &[(NodeId, NodeId)],
     p: usize,
-    policy: ChunkPolicy,
 ) -> (f64, TraceAnalysis) {
     with_processors(p, || {
         let mut best = f64::INFINITY;
         let mut best_spans = Vec::new();
         for _ in 0..REPS {
             let t = Instant::now();
-            let rows = neighbors_batch_with_chunking(packed, neighbor_queries, p, policy);
-            let exist = edges_exist_batch_binary_with_chunking(packed, edge_queries, p, policy);
+            let (csr, _) = CsrBuilder::new().processors(p).build_from_sorted(sorted);
+            let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Gap, p);
+            let rows = neighbors_batch(&packed, neighbor_queries, p);
+            let exist = edges_exist_batch_binary(&packed, edge_queries, p);
             let elapsed = t.elapsed().as_secs_f64() * 1e3;
             std::hint::black_box((&rows, &exist));
             let spans = parcsr_obs::drain();
@@ -143,131 +151,9 @@ fn measure_queries(
     })
 }
 
-/// Chunk statistics of one kind of chunk span, pooled over the instances of
-/// one stage. Narrower than the analyzer's stage-level stats, which pool
-/// every chunk span inside the instance window (e.g. the fixed-width
-/// `bitpack.chunk` spans inside `pack`, which the policy does not touch).
-fn pooled_chunk_stats(
-    analysis: &TraceAnalysis,
-    stage: &str,
-    chunk_name: &str,
-) -> Option<ChunkStats> {
-    let obs: Vec<_> = analysis
-        .instances
-        .iter()
-        .filter(|i| i.name == stage)
-        .flat_map(|i| i.chunks.iter())
-        .filter(|c| c.name == chunk_name)
-        .cloned()
-        .collect();
-    chunk_stats(&obs)
-}
-
-/// Edge-count skew of one kind of chunk span: max/mean of the `edges`
-/// payload. Purely a function of how the policy cut the work, so it is
-/// deterministic even when chunk *durations* are noisy (e.g. oversubscribed
-/// cores).
-fn edge_payload_skew(analysis: &TraceAnalysis, stage: &str, chunk_name: &str) -> Option<f64> {
-    let edges: Vec<f64> = analysis
-        .instances
-        .iter()
-        .filter(|i| i.name == stage)
-        .flat_map(|i| i.chunks.iter())
-        .filter(|c| c.name == chunk_name)
-        .filter_map(|c| c.edges)
-        .map(|e| e as f64)
-        .collect();
-    if edges.is_empty() {
-        return None;
-    }
-    let mean = edges.iter().sum::<f64>() / edges.len() as f64;
-    let max = edges.iter().cloned().fold(0.0f64, f64::max);
-    (mean > 0.0).then(|| max / mean)
-}
-
-/// Gap-encode chunk statistics (the spans the build-side policy controls).
-fn encode_chunk_stats(analysis: &TraceAnalysis) -> Option<ChunkStats> {
-    pooled_chunk_stats(analysis, "pack", "pack.encode.chunk")
-}
-
-/// Gap-encode edge skew.
-fn edge_skew(analysis: &TraceAnalysis) -> Option<f64> {
-    edge_payload_skew(analysis, "pack", "pack.encode.chunk")
-}
-
-fn print_cell(p: usize, policy: ChunkPolicy, wall_ms: f64, analysis: &TraceAnalysis) {
-    println!("p={p} policy={:<5} pipeline {wall_ms:.2} ms", policy.name());
-    for stage in &analysis.stages {
-        print!(
-            "  {:<10} util {:.3}  cp {:.3}",
-            stage.name, stage.utilization, stage.critical_path_ratio
-        );
-        if let Some(c) = &stage.chunks {
-            print!(
-                "  chunks: cv {:.2}, max {:.2} ms (t{} c{})",
-                c.cv,
-                c.max_ns as f64 / 1e6,
-                c.straggler_tid,
-                c.straggler_chunk
-            );
-        }
-        println!();
-    }
-    if let Some(c) = encode_chunk_stats(analysis) {
-        print!(
-            "  encode chunks: cv {:.2}, mean {:.2} ms, straggler {:.2} ms (t{} c{})",
-            c.cv,
-            c.mean_ns / 1e6,
-            c.max_ns as f64 / 1e6,
-            c.straggler_tid,
-            c.straggler_chunk
-        );
-        if let Some(r) = c.corr_edges {
-            print!(", r(edges) {r:+.2}");
-        }
-        if let Some(skew) = edge_skew(analysis) {
-            print!(", edge skew {skew:.2}x");
-        }
-        println!();
-    }
-}
-
-fn print_query_cell(p: usize, policy: ChunkPolicy, wall_ms: f64, analysis: &TraceAnalysis) {
-    println!(
-        "p={p} policy={:<5} query batches {wall_ms:.2} ms",
-        policy.name()
-    );
-    for (stage, chunk) in [
-        ("query.neighbors", "query.neighbors.chunk"),
-        ("query.edges", "query.edges.chunk"),
-    ] {
-        if let (Some(c), Some(skew)) = (
-            pooled_chunk_stats(analysis, stage, chunk),
-            edge_payload_skew(analysis, stage, chunk),
-        ) {
-            println!(
-                "  {stage:<16} chunks: cv {:.2}, straggler {:.2} ms (t{} c{}), edge skew {skew:.2}x",
-                c.cv,
-                c.max_ns as f64 / 1e6,
-                c.straggler_tid,
-                c.straggler_chunk,
-            );
-        }
-    }
-}
-
 fn main() {
-    if !parcsr_obs::compiled() {
-        eprintln!(
-            "note: built without span recording; rerun with \
-             --features parcsr-obs/enabled to measure utilization"
-        );
-    }
-    parcsr_obs::set_enabled(true);
-
     let graph = hub_graph();
     let sorted = graph.sorted_by_source();
-    let _ = parcsr_obs::drain();
     println!(
         "hub graph: {} nodes, {} edges, {} hub rows carrying {:.1}% of edges\n",
         graph.num_nodes(),
@@ -276,55 +162,51 @@ fn main() {
         f64::from(HUB_ROWS * HUB_DEGREE) / graph.num_edges() as f64 * 100.0
     );
 
-    for p in [2usize, 8] {
-        let mut cells = Vec::new();
-        for policy in [ChunkPolicy::Rows, ChunkPolicy::Edges] {
-            let (wall_ms, analysis) = measure(&sorted, p, policy);
-            print_cell(p, policy, wall_ms, &analysis);
-            cells.push((encode_chunk_stats(&analysis), edge_skew(&analysis)));
-        }
-        match &cells[..] {
-            [(Some(c_rows), Some(s_rows)), (Some(c_edges), Some(s_edges))] => {
-                println!(
-                    "  -> encode straggler {:.2} ms (rows) vs {:.2} ms (edges), \
-                     edge skew {s_rows:.2}x vs {s_edges:.2}x\n",
-                    c_rows.max_ns as f64 / 1e6,
-                    c_edges.max_ns as f64 / 1e6,
-                );
-            }
-            _ => println!("  -> no pack spans recorded (obs feature off?)\n"),
-        }
-    }
-
-    // Query-side A/B on the same graph: a hub-heavy Algorithm 6/7 mix
-    // against the packed CSR. The batch split is the only variable; the
-    // results are policy-invariant (see tests/chunk_policy_equivalence.rs).
-    let (csr, _) = CsrBuilder::new().build_from_sorted(&sorted);
-    let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Gap, 8);
+    // Part 1: how each splitter cuts the work, straight from the offsets.
+    let csr = Csr::from_edge_list_sequential(&graph);
     let (neighbor_queries, edge_queries) = hub_heavy_queries();
+    let mut query_prefix = vec![0u64];
+    for &u in &neighbor_queries {
+        query_prefix.push(query_prefix.last().unwrap() + csr.degree(u) as u64);
+    }
+    println!("per-chunk edge max/mean (rows = chunk_ranges, edges = chunk_ranges_by_prefix_sum)");
+    print_split_skew("offsets", csr.offsets());
+    print_split_skew("queries", &query_prefix);
+    println!();
+
+    // Part 2: per-stage utilization under the edge-weighted plan.
+    if !parcsr_obs::compiled() {
+        eprintln!(
+            "note: built without span recording; rerun with \
+             --features parcsr-obs/enabled to measure utilization"
+        );
+    }
+    parcsr_obs::set_enabled(true);
     let _ = parcsr_obs::drain();
     println!(
-        "query mix: {} neighborhood + {} edge-existence queries, hub rows front-loaded\n",
+        "build + pack + query batches ({} neighborhood + {} edge-existence queries, \
+         hub rows front-loaded)",
         neighbor_queries.len(),
         edge_queries.len()
     );
     for p in [2usize, 8] {
-        let mut skews = Vec::new();
-        for policy in [ChunkPolicy::Rows, ChunkPolicy::Edges] {
-            let (wall_ms, analysis) =
-                measure_queries(&packed, &neighbor_queries, &edge_queries, p, policy);
-            print_query_cell(p, policy, wall_ms, &analysis);
-            skews.push((
-                edge_payload_skew(&analysis, "query.neighbors", "query.neighbors.chunk"),
-                edge_payload_skew(&analysis, "query.edges", "query.edges.chunk"),
-            ));
-        }
-        match &skews[..] {
-            [(Some(n_rows), Some(e_rows)), (Some(n_edges), Some(e_edges))] => println!(
-                "  -> neighbors edge skew {n_rows:.2}x vs {n_edges:.2}x, \
-                 edge-exists {e_rows:.2}x vs {e_edges:.2}x (rows vs edges)\n"
-            ),
-            _ => println!("  -> no query spans recorded (obs feature off?)\n"),
+        let (wall_ms, analysis) = measure(&sorted, &neighbor_queries, &edge_queries, p);
+        println!("p={p} total {wall_ms:.2} ms");
+        for stage in &analysis.stages {
+            print!(
+                "  {:<16} util {:.3}  cp {:.3}",
+                stage.name, stage.utilization, stage.critical_path_ratio
+            );
+            if let Some(c) = &stage.chunks {
+                print!(
+                    "  chunks: cv {:.2}, max {:.2} ms (t{} c{})",
+                    c.cv,
+                    c.max_ns as f64 / 1e6,
+                    c.straggler_tid,
+                    c.straggler_chunk
+                );
+            }
+            println!();
         }
     }
     parcsr_obs::set_enabled(false);
