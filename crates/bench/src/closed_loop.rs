@@ -643,36 +643,36 @@ impl ToJson for DriverReport {
     }
 }
 
-/// Builds a [`WindowReport`] for window `epoch` of `slabs`.
-fn window_report(
+/// The merged summary of one `(kind, class, phase)` selection of `slabs`,
+/// for window `epoch` or, with `None`, the whole run. `None` for
+/// `kind`/`class` selects that whole dimension; `phase: None` selects the
+/// end-to-end latency.
+fn merge(
     slabs: &QuerySlabs,
-    epoch: u64,
+    epoch: Option<u64>,
+) -> impl Fn(Option<QueryKind>, Option<DegreeClass>, Option<QueryPhase>) -> HistogramSummary + '_ {
+    move |kind, class, phase| match (epoch, phase) {
+        (Some(e), None) => slabs.window_summary(e, kind, class),
+        (Some(e), Some(p)) => slabs.window_phase_summary(e, p, kind, class),
+        (None, None) => slabs.overall_summary(kind, class),
+        (None, Some(p)) => slabs.overall_phase_summary(p, kind, class),
+    }
+}
+
+/// A [`CellReport`] for a non-empty rollup.
+fn rollup(name: &'static str, s: &HistogramSummary) -> Option<CellReport> {
+    (s.count > 0).then(|| CellReport::from_summary(name, s))
+}
+
+/// Builds a [`WindowReport`] from the merges of one window (or the whole
+/// run): the grid total, then each non-empty kind, class and phase rollup.
+fn window_report(
+    merge: impl Fn(Option<QueryKind>, Option<DegreeClass>, Option<QueryPhase>) -> HistogramSummary,
     ordinal: u64,
     start_ms: f64,
     dur_ms: f64,
 ) -> WindowReport {
-    let all = slabs.window_summary(epoch, None, None);
-    let kinds = QueryKind::ALL
-        .iter()
-        .filter_map(|&k| {
-            let s = slabs.window_summary(epoch, Some(k), None);
-            (s.count > 0).then(|| CellReport::from_summary(k.name(), &s))
-        })
-        .collect();
-    let classes = DegreeClass::ALL
-        .iter()
-        .filter_map(|&c| {
-            let s = slabs.window_summary(epoch, None, Some(c));
-            (s.count > 0).then(|| CellReport::from_summary(c.name(), &s))
-        })
-        .collect();
-    let phases = QueryPhase::ALL
-        .iter()
-        .filter_map(|&p| {
-            let s = slabs.window_phase_summary(epoch, p, None, None);
-            (s.count > 0).then(|| CellReport::from_summary(p.name(), &s))
-        })
-        .collect();
+    let all = merge(None, None, None);
     WindowReport {
         window: ordinal,
         start_ms,
@@ -686,9 +686,18 @@ fn window_report(
         p50_ns: all.p50,
         p95_ns: all.p95,
         p99_ns: all.p99,
-        kinds,
-        classes,
-        phases,
+        kinds: QueryKind::ALL
+            .iter()
+            .filter_map(|&k| rollup(k.name(), &merge(Some(k), None, None)))
+            .collect(),
+        classes: DegreeClass::ALL
+            .iter()
+            .filter_map(|&c| rollup(c.name(), &merge(None, Some(c), None)))
+            .collect(),
+        phases: QueryPhase::ALL
+            .iter()
+            .filter_map(|&p| rollup(p.name(), &merge(None, None, Some(p))))
+            .collect(),
     }
 }
 
@@ -822,7 +831,7 @@ pub fn run(opts: &DriverOptions) -> DriverReport {
             }
             let completed = slabs.rotate();
             parcsr_obs::serve::rotate_window();
-            let exs = slabs.completed_exemplars();
+            let exs = slabs.summarize(completed).exemplars;
             if !exs.is_empty() {
                 exemplars.push(WindowExemplars {
                     window: ordinal,
@@ -831,8 +840,7 @@ pub fn run(opts: &DriverOptions) -> DriverReport {
             }
             let now_ms = run_start.elapsed().as_secs_f64() * 1_000.0;
             windows.push(window_report(
-                &slabs,
-                completed,
+                merge(&slabs, Some(completed)),
                 ordinal,
                 prev_ms,
                 now_ms - prev_ms,
@@ -847,7 +855,7 @@ pub fn run(opts: &DriverOptions) -> DriverReport {
     let elapsed_ms = run_start.elapsed().as_secs_f64() * 1_000.0;
     let tail_epoch = slabs.rotate();
     parcsr_obs::serve::rotate_window();
-    let tail_exs = slabs.completed_exemplars();
+    let tail_exs = slabs.summarize(tail_epoch).exemplars;
     if !tail_exs.is_empty() {
         exemplars.push(WindowExemplars {
             window: windows.len() as u64,
@@ -856,8 +864,7 @@ pub fn run(opts: &DriverOptions) -> DriverReport {
     }
     let last_rotate_ms = windows.last().map_or(0.0, |w| w.start_ms + w.dur_ms);
     let tail = window_report(
-        &slabs,
-        tail_epoch,
+        merge(&slabs, Some(tail_epoch)),
         windows.len() as u64,
         last_rotate_ms,
         elapsed_ms - last_rotate_ms,
@@ -866,37 +873,13 @@ pub fn run(opts: &DriverOptions) -> DriverReport {
         windows.push(tail);
     }
 
-    let all = slabs.overall_summary(None, None);
-    let overall_kinds = QueryKind::ALL
-        .iter()
-        .filter_map(|&k| {
-            let s = slabs.overall_summary(Some(k), None);
-            (s.count > 0).then(|| CellReport::from_summary(k.name(), &s))
-        })
-        .collect();
-    let overall_classes = DegreeClass::ALL
-        .iter()
-        .filter_map(|&c| {
-            let s = slabs.overall_summary(None, Some(c));
-            (s.count > 0).then(|| CellReport::from_summary(c.name(), &s))
-        })
-        .collect();
-    let overall_phases = QueryPhase::ALL
-        .iter()
-        .filter_map(|&p| {
-            let s = slabs.overall_phase_summary(p, None, None);
-            (s.count > 0).then(|| CellReport::from_summary(p.name(), &s))
-        })
-        .collect();
+    let lifetime = merge(&slabs, None);
     let class_phases = DegreeClass::ALL
         .iter()
         .filter_map(|&c| {
             let phases: Vec<CellReport> = QueryPhase::ALL
                 .iter()
-                .filter_map(|&p| {
-                    let s = slabs.overall_phase_summary(p, None, Some(c));
-                    (s.count > 0).then(|| CellReport::from_summary(p.name(), &s))
-                })
+                .filter_map(|&p| rollup(p.name(), &lifetime(None, Some(c), Some(p))))
                 .collect();
             (!phases.is_empty()).then_some(ClassPhases {
                 class: c.name(),
@@ -904,26 +887,10 @@ pub fn run(opts: &DriverOptions) -> DriverReport {
             })
         })
         .collect();
-    let qps = if elapsed_ms > 0.0 {
-        all.count as f64 * 1_000.0 / elapsed_ms
-    } else {
-        0.0
-    };
-    let overall = WindowReport {
-        window: 0,
-        start_ms: 0.0,
-        dur_ms: elapsed_ms,
-        requests: all.count,
-        qps,
-        p50_ns: all.p50,
-        p95_ns: all.p95,
-        p99_ns: all.p99,
-        kinds: overall_kinds,
-        classes: overall_classes,
-        phases: overall_phases,
-    };
+    let overall = window_report(lifetime, 0, 0.0, elapsed_ms);
+    let (qps, p99) = (overall.qps, overall.p99_ns);
     let met = (opts.p99_ns.is_some() || opts.min_qps.is_some())
-        .then(|| opts.p99_ns.is_none_or(|t| all.p99 <= t) && opts.min_qps.is_none_or(|t| qps >= t));
+        .then(|| opts.p99_ns.is_none_or(|t| p99 <= t) && opts.min_qps.is_none_or(|t| qps >= t));
     DriverReport {
         graph: graph_name,
         nodes: n,
@@ -940,7 +907,7 @@ pub fn run(opts: &DriverOptions) -> DriverReport {
         slo: SloReport {
             target_p99_ns: opts.p99_ns,
             target_min_qps: opts.min_qps,
-            achieved_p99_ns: all.p99,
+            achieved_p99_ns: p99,
             achieved_qps: qps,
             met,
         },

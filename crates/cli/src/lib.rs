@@ -94,8 +94,6 @@ where
                 &metrics,
                 mem,
                 &parcsr_obs::serve::drain_window_log(),
-                &parcsr_obs::serve::drain_phase_log(),
-                &parcsr_obs::serve::drain_exemplar_log(),
             ) {
                 Ok(()) => eprintln!("trace: wrote {} spans to {path}", spans.len()),
                 Err(e) => eprintln!("trace: failed to write {path}: {e}"),

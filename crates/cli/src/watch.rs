@@ -311,33 +311,37 @@ pub fn run_watch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parcsr_obs::metrics::{HistogramSummary, MetricsSnapshot, WindowSeries};
+    use parcsr_obs::metrics::{HistogramSummary, MetricsSnapshot};
+    use parcsr_obs::serve::{DegreeClass, QueryKind, WindowCell, WindowSummary};
+
+    fn cell(kind: QueryKind, class: DegreeClass, count: u64, max: u64) -> WindowCell {
+        let summary = HistogramSummary {
+            count,
+            sum: count * 100,
+            max,
+            p50: max / 2,
+            p95: max,
+            p99: max,
+        };
+        WindowCell {
+            kind,
+            class,
+            phases: [summary; 3],
+            summary,
+        }
+    }
 
     fn live_expo() -> Exposition {
         let mut snap = MetricsSnapshot::default();
         snap.gauges.push(("query.win.epoch".to_string(), 9));
         snap.gauges
             .push(("query.win.duration_ns".to_string(), 250_000_000));
-        for (kind, class, count, max) in [
-            ("neighbors", "low", 4000, 900),
-            ("neighbors", "hub", 120, 2_400_000),
-            ("split", "mid", 800, 45_000),
-        ] {
-            snap.windows.push(WindowSeries {
-                name: format!("query.win.{kind}.{class}"),
-                kind,
-                class,
-                window: 9,
-                summary: HistogramSummary {
-                    count,
-                    sum: count * 100,
-                    max,
-                    p50: max / 2,
-                    p95: max,
-                    p99: max,
-                },
-            });
-        }
+        snap.window = 9;
+        snap.windows = vec![
+            cell(QueryKind::Neighbors, DegreeClass::Low, 4000, 900),
+            cell(QueryKind::Neighbors, DegreeClass::Hub, 120, 2_400_000),
+            cell(QueryKind::SplitSearch, DegreeClass::Mid, 800, 45_000),
+        ];
         expo::parse(&expo::render(&snap)).unwrap()
     }
 
@@ -362,28 +366,19 @@ mod tests {
     }
 
     fn history_expo(p99s: &[u64]) -> Exposition {
-        use parcsr_obs::serve::{DegreeClass, HistoryWindow, QueryKind, WindowCell};
-        let windows: Vec<HistoryWindow> = p99s
+        let windows: Vec<WindowSummary> = p99s
             .iter()
             .enumerate()
-            .map(|(i, &p99)| HistoryWindow {
-                window: i as u64,
-                end_ns: (i as u64 + 1) * 250_000_000,
-                dur_ns: 250_000_000,
-                queries: 1000,
-                qps: 4000.0,
-                cells: vec![WindowCell {
-                    kind: QueryKind::Neighbors,
-                    class: DegreeClass::Hub,
-                    summary: HistogramSummary {
-                        count: 1000,
-                        sum: p99 * 100,
-                        max: p99,
-                        p50: p99 / 2,
-                        p95: p99,
-                        p99,
-                    },
-                }],
+            .map(|(i, &p99)| {
+                let mut hub = cell(QueryKind::Neighbors, DegreeClass::Hub, 1000, p99);
+                hub.summary.sum = p99 * 100;
+                WindowSummary {
+                    window: i as u64,
+                    start_ns: i as u64 * 250_000_000,
+                    end_ns: (i as u64 + 1) * 250_000_000,
+                    cells: vec![hub],
+                    exemplars: Vec::new(),
+                }
             })
             .collect();
         expo::parse(&expo::render_history(&windows)).unwrap()

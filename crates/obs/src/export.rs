@@ -15,11 +15,16 @@
 //! `mem.peak_bytes` point, and one terminal point per metric — counters,
 //! gauges, and the query-latency histograms (`count`/`p50`/`p95`/`p99`) —
 //! so latency and memory land in the same timeline as the spans. When
-//! serving telemetry ran ([`crate::serve`]), each completed window adds a
-//! `query.win.<kind>.<class>` point (args: `window`, `count`, `p50`, `p95`,
-//! `p99`) at its rotation timestamp plus one `query.win.qps` point per
-//! window with the summed query count and achieved qps.
-//! `cargo xtask check-trace` validates both event kinds.
+//! serving telemetry ran ([`crate::serve`]), each completed window's
+//! [`WindowSummary`] adds, at its rotation timestamp, one
+//! `query.win.<kind>.<class>` point per non-empty cell (args: `window`,
+//! `count`, `sum`, `p50`, `p95`, `p99`) and one `query.win.qps` point with
+//! the summed query count and achieved qps; after all windows' grid points
+//! come their `query.phase.<phase>.<kind>.<class>` points (the cell's
+//! queue/exec/reply split, same args) and then their
+//! `query.exemplar.<kind>.<class>` tail-query points (args: `window`,
+//! `source`, `total`, `queue`, `exec`, `reply`).
+//! `cargo xtask check-trace` validates every event kind.
 //!
 //! The summary exporter renders per-stage and per-(stage, worker) wall-clock
 //! aggregates, a memory section when accounting ran, and the metrics
@@ -32,8 +37,10 @@ use std::path::Path;
 
 use crate::json::Json;
 use crate::mem::MemSnapshot;
-use crate::metrics::MetricsSnapshot;
-use crate::serve::{ExemplarRecord, PhaseRecord, WindowRecord};
+use crate::metrics::{HistogramSummary, MetricsSnapshot};
+use crate::serve::{
+    exemplar_series_name, phase_series_name, window_series_name, QueryPhase, WindowSummary,
+};
 use crate::span::SpanRecord;
 
 fn span_args_json(r: &SpanRecord) -> Json {
@@ -103,23 +110,15 @@ fn counter_event(name: &str, ts_us: f64, args: Vec<(String, Json)>) -> Json {
 /// and the process peak) and for every metric in `metrics` — counters,
 /// gauges, and the query-latency histograms. Pass `mem = None` when memory
 /// accounting did not run; the memory series are then omitted. `windows`
-/// (from [`crate::serve::drain_window_log`], rotation order) adds the
-/// per-window serving-telemetry series described in the module docs;
-/// `phases` ([`crate::serve::drain_phase_log`]) adds one
-/// `query.phase.<phase>.<kind>.<class>` point per phase of each non-empty
-/// cell (args: `window`, `count`, `sum`, `p50`, `p95`, `p99`), and
-/// `exemplars` ([`crate::serve::drain_exemplar_log`]) one
-/// `query.exemplar.<kind>.<class>` point per captured tail query (args:
-/// `window`, `source`, `total`, `queue`, `exec`, `reply`). Pass `&[]` for
-/// any log that has no entries.
+/// (from [`crate::serve::drain_window_log`], rotation order; `&[]` when no
+/// serving window rotated) adds the serving-telemetry series described in
+/// the module docs.
 #[must_use]
 pub fn chrome_trace_with_counters(
     spans: &[SpanRecord],
     metrics: &MetricsSnapshot,
     mem: Option<MemSnapshot>,
-    windows: &[WindowRecord],
-    phases: &[PhaseRecord],
-    exemplars: &[ExemplarRecord],
+    windows: &[WindowSummary],
 ) -> Json {
     let Json::Array(mut events) = chrome_trace_json(spans) else {
         unreachable!("chrome_trace_json returns an array");
@@ -183,45 +182,34 @@ pub fn chrome_trace_with_counters(
     // the window's rotation timestamp, then one qps point per window. The
     // log is in rotation order, so each counter name's series is
     // time-ordered (a property `check-trace` enforces).
-    let mut i = 0;
-    while i < windows.len() {
-        let mut queries = 0u64;
-        let mut j = i;
-        while j < windows.len() && windows[j].window == windows[i].window {
-            let w = &windows[j];
-            let ts_us = w.end_ns as f64 / 1_000.0;
+    let summary_args = |window: u64, s: &HistogramSummary| {
+        vec![
+            ("window".into(), Json::Int(window as i64)),
+            ("count".into(), Json::Int(s.count as i64)),
+            ("sum".into(), Json::Int(s.sum as i64)),
+            ("p50".into(), Json::Int(s.p50 as i64)),
+            ("p95".into(), Json::Int(s.p95 as i64)),
+            ("p99".into(), Json::Int(s.p99 as i64)),
+        ]
+    };
+    for w in windows.iter().filter(|w| !w.cells.is_empty()) {
+        let ts_us = w.end_ns as f64 / 1_000.0;
+        for c in &w.cells {
             events.push(counter_event(
-                &w.series_name(),
+                &window_series_name(c.kind, c.class),
                 ts_us,
-                vec![
-                    ("window".into(), Json::Int(w.window as i64)),
-                    ("count".into(), Json::Int(w.summary.count as i64)),
-                    ("sum".into(), Json::Int(w.summary.sum as i64)),
-                    ("p50".into(), Json::Int(w.summary.p50 as i64)),
-                    ("p95".into(), Json::Int(w.summary.p95 as i64)),
-                    ("p99".into(), Json::Int(w.summary.p99 as i64)),
-                ],
+                summary_args(w.window, &c.summary),
             ));
-            queries += w.summary.count;
-            j += 1;
         }
-        let w = &windows[i];
-        let dur_ns = w.end_ns.saturating_sub(w.start_ns);
-        let qps = if dur_ns > 0 {
-            queries as f64 * 1e9 / dur_ns as f64
-        } else {
-            0.0
-        };
         events.push(counter_event(
             "query.win.qps",
-            w.end_ns as f64 / 1_000.0,
+            ts_us,
             vec![
                 ("window".into(), Json::Int(w.window as i64)),
-                ("queries".into(), Json::Int(queries as i64)),
-                ("qps".into(), Json::Float(qps)),
+                ("queries".into(), Json::Int(w.queries() as i64)),
+                ("qps".into(), Json::Float(w.qps())),
             ],
         ));
-        i = j;
     }
 
     // Per-phase window series: the queue/exec/reply decomposition of each
@@ -229,36 +217,39 @@ pub fn chrome_trace_with_counters(
     // time-ordered and its window ordinals are monotone. `check-trace`
     // additionally verifies that for each (window, cell) the three phase
     // sums stay within tolerance of the end-to-end `sum` above.
-    for p in phases {
-        events.push(counter_event(
-            &p.series_name(),
-            p.end_ns as f64 / 1_000.0,
-            vec![
-                ("window".into(), Json::Int(p.window as i64)),
-                ("count".into(), Json::Int(p.summary.count as i64)),
-                ("sum".into(), Json::Int(p.summary.sum as i64)),
-                ("p50".into(), Json::Int(p.summary.p50 as i64)),
-                ("p95".into(), Json::Int(p.summary.p95 as i64)),
-                ("p99".into(), Json::Int(p.summary.p99 as i64)),
-            ],
-        ));
+    for w in windows {
+        for c in &w.cells {
+            for phase in QueryPhase::ALL {
+                // A query straddling a rotation can leave a phase empty.
+                let s = &c.phases[phase.index()];
+                if s.count > 0 {
+                    events.push(counter_event(
+                        &phase_series_name(phase, c.kind, c.class),
+                        w.end_ns as f64 / 1_000.0,
+                        summary_args(w.window, s),
+                    ));
+                }
+            }
+        }
     }
 
     // Tail exemplars: one point per captured slow query at its window's
     // rotation timestamp, carrying the full phase breakdown.
-    for e in exemplars {
-        events.push(counter_event(
-            &e.series_name(),
-            e.end_ns as f64 / 1_000.0,
-            vec![
-                ("window".into(), Json::Int(e.window as i64)),
-                ("source".into(), Json::Int(e.exemplar.source as i64)),
-                ("total".into(), Json::Int(e.exemplar.ns.total_ns as i64)),
-                ("queue".into(), Json::Int(e.exemplar.ns.queue_ns as i64)),
-                ("exec".into(), Json::Int(e.exemplar.ns.exec_ns as i64)),
-                ("reply".into(), Json::Int(e.exemplar.ns.reply_ns as i64)),
-            ],
-        ));
+    for w in windows {
+        for e in &w.exemplars {
+            events.push(counter_event(
+                &exemplar_series_name(e.kind, e.class),
+                w.end_ns as f64 / 1_000.0,
+                vec![
+                    ("window".into(), Json::Int(w.window as i64)),
+                    ("source".into(), Json::Int(e.source as i64)),
+                    ("total".into(), Json::Int(e.ns.total_ns as i64)),
+                    ("queue".into(), Json::Int(e.ns.queue_ns as i64)),
+                    ("exec".into(), Json::Int(e.ns.exec_ns as i64)),
+                    ("reply".into(), Json::Int(e.ns.reply_ns as i64)),
+                ],
+            ));
+        }
     }
     Json::Array(events)
 }
@@ -270,13 +261,11 @@ pub fn write_chrome_trace(
     spans: &[SpanRecord],
     metrics: &MetricsSnapshot,
     mem: Option<MemSnapshot>,
-    windows: &[WindowRecord],
-    phases: &[PhaseRecord],
-    exemplars: &[ExemplarRecord],
+    windows: &[WindowSummary],
 ) -> std::io::Result<()> {
     let mut file = std::fs::File::create(path)?;
     file.write_all(
-        chrome_trace_with_counters(spans, metrics, mem, windows, phases, exemplars)
+        chrome_trace_with_counters(spans, metrics, mem, windows)
             .pretty()
             .as_bytes(),
     )?;
@@ -482,6 +471,7 @@ pub fn summary_table(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve::{DegreeClass, Exemplar, PhaseNanos, QueryKind, WindowCell};
     use crate::span::SpanArgs;
 
     fn span(name: &'static str, start: u64, dur: u64, tid: u32, depth: u16) -> SpanRecord {
@@ -554,7 +544,7 @@ mod tests {
         metrics.counters.push(("pool.installs".into(), 3));
         metrics.histograms.push((
             "query.has_edge_ns".into(),
-            crate::metrics::HistogramSummary {
+            HistogramSummary {
                 count: 10,
                 sum: 1000,
                 max: 200,
@@ -567,7 +557,7 @@ mod tests {
             live_bytes: 150,
             peak_bytes: 1000,
         });
-        let json = chrome_trace_with_counters(&[a, b], &metrics, mem, &[], &[], &[]);
+        let json = chrome_trace_with_counters(&[a, b], &metrics, mem, &[]);
         let events = json.as_array().unwrap();
         // 2 spans + 2×(live,stage_peak) + peak + counter + histogram = 9.
         assert_eq!(events.len(), 9);
@@ -602,175 +592,105 @@ mod tests {
             Some(180)
         );
         // No mem snapshot → no mem series at all.
-        let json = chrome_trace_with_counters(
-            &[span("degree", 0, 1, 0, 0)],
-            &metrics,
-            None,
-            &[],
-            &[],
-            &[],
-        );
+        let json = chrome_trace_with_counters(&[span("degree", 0, 1, 0, 0)], &metrics, None, &[]);
         let events = json.as_array().unwrap();
         assert!(events
             .iter()
             .all(|e| e.get("name").unwrap().as_str() != Some("mem.live_bytes")));
     }
 
-    #[test]
-    fn chrome_trace_window_counter_events() {
-        use crate::metrics::HistogramSummary;
-        use crate::serve::{DegreeClass, QueryKind, WindowRecord};
-        let sum = |count: u64, p99: u64| HistogramSummary {
+    /// Serving window `w` spanning `[w, w + 1)` seconds, with one cell per
+    /// `(kind, class, count)`; every summary's `sum` and `p99` are
+    /// `count × 100`, and so are each phase's.
+    fn window(w: u64, cells: &[(QueryKind, DegreeClass, u64)]) -> WindowSummary {
+        let summary = |count: u64| HistogramSummary {
             count,
             sum: count * 100,
-            max: p99,
-            p50: p99 / 2,
-            p95: p99,
-            p99,
+            max: count * 100,
+            p50: count * 50,
+            p95: count * 100,
+            p99: count * 100,
         };
-        let windows = vec![
-            WindowRecord {
-                window: 0,
-                start_ns: 0,
-                end_ns: 1_000_000_000,
-                kind: QueryKind::Neighbors,
-                class: DegreeClass::Low,
-                summary: sum(300, 8_000),
-            },
-            WindowRecord {
-                window: 0,
-                start_ns: 0,
-                end_ns: 1_000_000_000,
-                kind: QueryKind::EdgeScan,
-                class: DegreeClass::Hub,
-                summary: sum(100, 90_000),
-            },
-            WindowRecord {
-                window: 1,
-                start_ns: 1_000_000_000,
-                end_ns: 2_000_000_000,
-                kind: QueryKind::Neighbors,
-                class: DegreeClass::Low,
-                summary: sum(500, 7_000),
-            },
+        let cells = cells.iter().map(|&(kind, class, count)| WindowCell {
+            kind,
+            class,
+            summary: summary(count),
+            phases: [summary(count); 3],
+        });
+        WindowSummary {
+            window: w,
+            start_ns: w * 1_000_000_000,
+            end_ns: (w + 1) * 1_000_000_000,
+            cells: cells.collect(),
+            exemplars: Vec::new(),
+        }
+    }
+
+    /// The trace events named `name`, as `(ts, args)` pairs.
+    fn named<'a>(json: &'a Json, name: &str) -> Vec<(f64, &'a Json)> {
+        let events = json.as_array().unwrap().iter();
+        events
+            .filter(|e| e.get("name").unwrap().as_str() == Some(name))
+            .map(|e| {
+                (
+                    e.get("ts").unwrap().as_f64().unwrap(),
+                    e.get("args").unwrap(),
+                )
+            })
+            .collect()
+    }
+
+    fn arg(args: &Json, key: &str) -> Option<i64> {
+        args.get(key).unwrap().as_i64()
+    }
+
+    #[test]
+    fn chrome_trace_window_counter_events() {
+        use DegreeClass::{Hub, Low};
+        use QueryKind::{EdgeScan, Neighbors};
+        let windows = [
+            window(0, &[(Neighbors, Low, 300), (EdgeScan, Hub, 100)]),
+            window(1, &[(Neighbors, Low, 500)]),
+            window(2, &[]), // a window that saw no queries emits nothing
         ];
-        let json = chrome_trace_with_counters(
-            &[span("serve", 0, 2_000_000_000, 0, 0)],
-            &MetricsSnapshot::default(),
-            None,
-            &windows,
-            &[],
-            &[],
-        );
-        let events = json.as_array().unwrap();
-        // 1 span + 3 window cells + 2 qps points.
-        assert_eq!(events.len(), 6);
-        let cell = events
-            .iter()
-            .find(|e| e.get("name").unwrap().as_str() == Some("query.win.edge_scan.hub"))
-            .unwrap();
-        let args = cell.get("args").unwrap();
-        assert_eq!(args.get("window").unwrap().as_i64(), Some(0));
-        assert_eq!(args.get("count").unwrap().as_i64(), Some(100));
-        assert_eq!(args.get("sum").unwrap().as_i64(), Some(100 * 100));
-        assert_eq!(args.get("p99").unwrap().as_i64(), Some(90_000));
-        let qps: Vec<_> = events
-            .iter()
-            .filter(|e| e.get("name").unwrap().as_str() == Some("query.win.qps"))
-            .collect();
-        assert_eq!(qps.len(), 2);
+        let json = chrome_trace_with_counters(&[], &MetricsSnapshot::default(), None, &windows);
+        // 3 window cells + 2 qps points + 3 phases per cell.
+        assert_eq!(json.as_array().unwrap().len(), 3 + 2 + 9);
+        let hub = named(&json, "query.win.edge_scan.hub");
+        assert_eq!(arg(hub[0].1, "window"), Some(0));
+        assert_eq!(arg(hub[0].1, "count"), Some(100));
+        assert_eq!(arg(hub[0].1, "sum"), Some(100 * 100));
+        let qps = named(&json, "query.win.qps");
         // Window 0: 400 queries over 1 s → 400 qps.
-        let a0 = qps[0].get("args").unwrap();
-        assert_eq!(a0.get("queries").unwrap().as_i64(), Some(400));
-        assert!((a0.get("qps").unwrap().as_f64().unwrap() - 400.0).abs() < 1e-6);
-        // Same-name series is time-ordered; window arg is non-decreasing.
-        assert!(qps[0].get("ts").unwrap().as_f64() <= qps[1].get("ts").unwrap().as_f64());
-        assert_eq!(
-            qps[1].get("args").unwrap().get("window").unwrap().as_i64(),
-            Some(1)
-        );
-        // The repeated per-cell series is time-ordered too.
-        let neigh: Vec<_> = events
-            .iter()
-            .filter(|e| e.get("name").unwrap().as_str() == Some("query.win.neighbors.low"))
-            .collect();
-        assert_eq!(neigh.len(), 2);
-        assert!(neigh[0].get("ts").unwrap().as_f64() <= neigh[1].get("ts").unwrap().as_f64());
+        assert_eq!(arg(qps[0].1, "queries"), Some(400));
+        assert_eq!(qps[0].1.get("qps").unwrap().as_f64(), Some(400.0));
+        assert_eq!(arg(qps[1].1, "window"), Some(1));
+        // Same-name series are time-ordered.
+        for series in [qps, named(&json, "query.win.neighbors.low")] {
+            assert_eq!(series.len(), 2);
+            assert!(series[0].0 < series[1].0);
+        }
     }
 
     #[test]
     fn chrome_trace_phase_and_exemplar_events() {
-        use crate::metrics::HistogramSummary;
-        use crate::serve::{
-            DegreeClass, Exemplar, ExemplarRecord, PhaseNanos, PhaseRecord, QueryKind, QueryPhase,
-        };
-        let summary = |count: u64, sum: u64| HistogramSummary {
-            count,
-            sum,
-            max: sum,
-            p50: sum / 2,
-            p95: sum,
-            p99: sum,
-        };
-        let phases: Vec<PhaseRecord> = [
-            (QueryPhase::Queue, 4_000u64),
-            (QueryPhase::Exec, 90_000),
-            (QueryPhase::Reply, 1_000),
-        ]
-        .into_iter()
-        .map(|(phase, sum)| PhaseRecord {
-            window: 0,
-            end_ns: 1_000_000_000,
-            phase,
+        let mut w = window(0, &[(QueryKind::SplitSearch, DegreeClass::Hub, 10)]);
+        w.cells[0].phases[2].count = 0; // an empty phase emits nothing
+        w.exemplars.push(Exemplar {
             kind: QueryKind::SplitSearch,
             class: DegreeClass::Hub,
-            summary: summary(10, sum),
-        })
-        .collect();
-        let exemplars = vec![ExemplarRecord {
-            window: 0,
-            end_ns: 1_000_000_000,
-            exemplar: Exemplar {
-                kind: QueryKind::SplitSearch,
-                class: DegreeClass::Hub,
-                source: 42,
-                ns: PhaseNanos {
-                    total_ns: 95_000,
-                    queue_ns: 4_000,
-                    exec_ns: 90_000,
-                    reply_ns: 1_000,
-                },
-            },
-        }];
-        let json = chrome_trace_with_counters(
-            &[span("serve", 0, 1_000_000_000, 0, 0)],
-            &MetricsSnapshot::default(),
-            None,
-            &[],
-            &phases,
-            &exemplars,
-        );
-        let events = json.as_array().unwrap();
-        // 1 span + 3 phase points + 1 exemplar point.
-        assert_eq!(events.len(), 5);
-        let queue = events
-            .iter()
-            .find(|e| e.get("name").unwrap().as_str() == Some("query.phase.queue.split.hub"))
-            .unwrap();
-        let args = queue.get("args").unwrap();
-        assert_eq!(args.get("window").unwrap().as_i64(), Some(0));
-        assert_eq!(args.get("count").unwrap().as_i64(), Some(10));
-        assert_eq!(args.get("sum").unwrap().as_i64(), Some(4_000));
-        let ex = events
-            .iter()
-            .find(|e| e.get("name").unwrap().as_str() == Some("query.exemplar.split.hub"))
-            .unwrap();
-        let args = ex.get("args").unwrap();
-        assert_eq!(args.get("source").unwrap().as_i64(), Some(42));
-        assert_eq!(args.get("total").unwrap().as_i64(), Some(95_000));
-        assert_eq!(args.get("queue").unwrap().as_i64(), Some(4_000));
-        assert_eq!(args.get("exec").unwrap().as_i64(), Some(90_000));
-        assert_eq!(args.get("reply").unwrap().as_i64(), Some(1_000));
+            source: 42,
+            ns: PhaseNanos::from_checkpoints(0, 4_000, 94_000, 95_000),
+        });
+        let json = chrome_trace_with_counters(&[], &MetricsSnapshot::default(), None, &[w]);
+        // 1 cell + 1 qps point + 2 phase points + 1 exemplar point.
+        assert_eq!(json.as_array().unwrap().len(), 5);
+        let queue = named(&json, "query.phase.queue.split.hub");
+        assert_eq!(arg(queue[0].1, "count"), Some(10));
+        assert!(named(&json, "query.phase.reply.split.hub").is_empty());
+        let ex = named(&json, "query.exemplar.split.hub")[0].1;
+        let breakdown = ["window", "source", "total", "queue", "exec", "reply"].map(|k| arg(ex, k));
+        assert_eq!(breakdown, [0, 42, 95_000, 4_000, 90_000, 1_000].map(Some));
     }
 
     #[test]

@@ -19,6 +19,8 @@
 // join; no reader depends on cross-cell ordering.
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
 
+use crate::serve::WindowCell;
+
 /// Monotonically increasing event count.
 #[derive(Debug)]
 pub struct Counter {
@@ -266,7 +268,7 @@ impl Default for Histogram {
 
 /// Snapshot of one histogram (all values in the recorded unit, ns for the
 /// query-path histograms).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistogramSummary {
     /// Observation count.
     pub count: u64,
@@ -531,35 +533,13 @@ pub fn time_histogram(hist: &'static Histogram) -> QueryTimer {
     }
 }
 
-/// One windowed serving cell in a [`MetricsSnapshot`]: a
-/// `(kind, class)` latency summary for one completed window of the
-/// serving slabs ([`crate::serve::QuerySlabs`]). The `name` is the
-/// canonical `query.win.<kind>.<class>` series name produced by
-/// [`crate::serve::window_series_name`] — the single definition shared by
-/// the trace exporter, the exposition renderer, and the JSON stats
-/// endpoint — while `kind`/`class` carry the label values so renderers
-/// that prefer labeled families (Prometheus exposition) never re-derive
-/// them by splitting the name.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WindowSeries {
-    /// Canonical dotted series name (`query.win.<kind>.<class>`).
-    pub name: String,
-    /// Query-kind label value (e.g. `neighbors`).
-    pub kind: &'static str,
-    /// Degree-class label value (`low`/`mid`/`hub`).
-    pub class: &'static str,
-    /// The completed window ordinal the summary covers.
-    pub window: u64,
-    /// Merged-across-shards latency summary for the window, nanoseconds.
-    pub summary: HistogramSummary,
-}
-
 /// Point-in-time snapshot of every registered metric plus the non-empty
 /// [`wellknown`] histograms, and — when merged from
-/// [`crate::serve`] — the windowed serving grid. Empty when the `enabled`
-/// feature is off. This is the one merge path every exporter shares: the
-/// Chrome-trace counter events, the Prometheus-style exposition, and the
-/// admin JSON stats endpoint all consume this shape.
+/// [`crate::serve::serving_snapshot`] — one window of the serving grid.
+/// Empty when the `enabled` feature is off. This is the one merge path
+/// every exporter shares: the Chrome-trace counter events, the
+/// Prometheus-style exposition, and the admin JSON stats endpoint all
+/// consume this shape.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
     /// `(name, value)` for each counter, registration order.
@@ -568,8 +548,11 @@ pub struct MetricsSnapshot {
     pub gauges: Vec<(String, i64)>,
     /// `(name, summary)` for each histogram, registration order.
     pub histograms: Vec<(String, HistogramSummary)>,
-    /// Windowed serving cells (kind × degree-class), slab-index order.
-    pub windows: Vec<WindowSeries>,
+    /// The serving window `windows` summarizes.
+    pub window: u64,
+    /// Non-empty serving cells (kind × degree class) of window `window`,
+    /// slab-index order, as built by [`crate::serve::QuerySlabs::summarize`].
+    pub windows: Vec<WindowCell>,
 }
 
 impl MetricsSnapshot {
@@ -582,14 +565,18 @@ impl MetricsSnapshot {
             && self.windows.is_empty()
     }
 
-    /// Appends every entry of `other`, preserving both orders. Used to
-    /// combine the registry snapshot with the serving-slab snapshot into
-    /// the one document the admin plane serves.
+    /// Appends every entry of `other`, preserving both orders; a serving
+    /// window in `other` replaces this one's (a snapshot shows one window).
+    /// Used to combine the registry snapshot with the serving-slab snapshot
+    /// into the one document the admin plane serves.
     pub fn merge(&mut self, other: MetricsSnapshot) {
         self.counters.extend(other.counters);
         self.gauges.extend(other.gauges);
         self.histograms.extend(other.histograms);
-        self.windows.extend(other.windows);
+        if !other.windows.is_empty() {
+            self.window = other.window;
+            self.windows = other.windows;
+        }
     }
 }
 

@@ -20,8 +20,7 @@
 //!   recording).
 //! * Per-cell **phase decomposition** ([`QueryPhase`]): each cell carries a
 //!   `queue`/`exec`/`reply` triple of `(overall, windowed)` histogram pairs
-//!   next to the end-to-end pair, fed by the phase-timed [`QueryStart`]
-//!   guard (`queued → dispatched → executed → replied` checkpoints). The
+//!   next to the end-to-end pair, fed by [`QuerySlabs::record_query`]. The
 //!   phases partition the end-to-end time exactly, so per-window phase sums
 //!   never exceed the end-to-end sum (`check-trace` enforces this on the
 //!   exported events).
@@ -29,15 +28,19 @@
 //!   [`EXEMPLARS_PER_SHARD`] slowest queries of the live window with their
 //!   full phase breakdown, rotated with the window. Admission is gated on a
 //!   relaxed floor load, so the common (fast-query) path stays wait-free.
+//! * **One record per window** ([`WindowSummary`]):
+//!   [`QuerySlabs::summarize`] merges a window's non-empty cells (with their
+//!   phases) and its tail exemplars once. Every view renders that record:
+//!   the Chrome-trace counter events, the exposition and JSON scrapes, and
+//!   the history endpoint.
 //! * A **history ring** ([`HistoryRing`]): the last [`HISTORY_WINDOWS`]
-//!   rotated window summaries (per-cell count/percentiles + qps), the data
-//!   behind the admin plane's `history` endpoint and `parcsr watch`'s
-//!   sparklines.
+//!   window summaries, the data behind the admin plane's `history`
+//!   endpoint and `parcsr watch`'s sparklines.
 //! * A process-global facade ([`query_start`], [`rotate_window`],
-//!   [`drain_window_log`], [`drain_phase_log`], [`drain_exemplar_log`],
-//!   [`history_snapshot`]) gated exactly like the rest of the crate: ZST
-//!   no-ops without the `enabled` feature, one relaxed load when compiled
-//!   in but runtime recording is off.
+//!   [`drain_window_log`], [`serving_snapshot`], [`history_snapshot`])
+//!   gated exactly like the rest of the crate: ZST no-ops without the
+//!   `enabled` feature, one relaxed load when compiled in but runtime
+//!   recording is off.
 //!
 //! # Concurrency contract
 //!
@@ -65,7 +68,7 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::OnceLock;
 use std::sync::{Mutex, PoisonError};
 
-use crate::metrics::{Histogram, HistogramSummary, MetricsSnapshot, WindowSeries};
+use crate::metrics::{Histogram, HistogramSummary, MetricsSnapshot};
 
 /// Query types the serving path accounts for, matching the paper's
 /// query-algorithm families (Algorithms 6–9).
@@ -176,18 +179,17 @@ impl DegreeClass {
 }
 
 /// One phase of a request's lifecycle, as cut by the
-/// `queued → dispatched → executed → replied` checkpoints of the
-/// [`QueryStart`] guard:
+/// `queued → dispatched → executed → replied` checkpoints of
+/// [`PhaseNanos::from_checkpoints`]:
 ///
 /// ```text
 /// queued ──queue──▶ dispatched ──exec──▶ executed ──reply──▶ replied
 /// ```
 ///
-/// The three phases partition the end-to-end time exactly. A guard that
-/// never marks a checkpoint degenerates gracefully: without `dispatched`
-/// the queue phase is 0, without `executed` the reply phase is 0 — so the
-/// in-process query path (which has no queue today) reports everything as
-/// `exec`, and the future data plane inherits the API unchanged.
+/// The three phases partition the end-to-end time exactly. The closed-loop
+/// driver stamps all four checkpoints; the in-process query path
+/// ([`query_start`]) has no queue or reply step, so it records everything
+/// as `exec` ([`PhaseNanos::all_exec`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueryPhase {
     /// `queued → dispatched`: time spent waiting for a worker.
@@ -256,7 +258,7 @@ impl PhaseNanos {
     }
 
     /// A sample with only a total (no checkpoints): everything counts as
-    /// `exec`, matching the degenerate guard documented on [`QueryPhase`].
+    /// `exec`, as on the in-process query path (see [`QueryPhase`]).
     #[must_use]
     pub fn all_exec(total_ns: u64) -> Self {
         Self {
@@ -296,12 +298,6 @@ impl WindowedHistogram {
             ring: (0..w).map(|_| Histogram::new()).collect(),
             epoch: AtomicU64::new(0),
         }
-    }
-
-    /// Ring capacity (number of retained epochs, including the live one).
-    #[must_use]
-    pub fn windows(&self) -> usize {
-        self.ring.len()
     }
 
     /// The live (currently recording) epoch.
@@ -356,58 +352,56 @@ impl WindowedHistogram {
     }
 }
 
-/// One phase's `(overall, windowed)` histogram pair inside a cell. Boxed
-/// behind [`SlabCell::phases`] so the 15 KiB overall histogram stays off
-/// the `ShardSlab` inline footprint.
+/// A lifetime histogram and the sliding-window view of the same
+/// observations.
 #[derive(Debug)]
-struct PhaseSlot {
+struct HistPair {
     overall: Histogram,
     windowed: WindowedHistogram,
 }
 
-/// One `(overall, windowed)` histogram pair for the end-to-end latency,
-/// plus one pair per [`QueryPhase`]: lifetime totals and the
-/// sliding-window view of the same observations, phase-decomposed.
-#[derive(Debug)]
-struct SlabCell {
-    overall: Histogram,
-    windowed: WindowedHistogram,
-    phases: Box<[PhaseSlot]>,
-}
-
-impl SlabCell {
+impl HistPair {
     fn new(windows: usize) -> Self {
         Self {
             overall: Histogram::new(),
             windowed: WindowedHistogram::new(windows),
-            phases: (0..NUM_QUERY_PHASES)
-                .map(|_| PhaseSlot {
-                    overall: Histogram::new(),
-                    windowed: WindowedHistogram::new(windows),
-                })
-                .collect(),
         }
     }
 
-    /// Records an end-to-end observation only; the phase slots are left
-    /// untouched (phase counts are then ≤ the end-to-end count, which the
-    /// phase-sum invariant tolerates).
     #[inline]
     fn record(&self, v: u64) {
         self.overall.record(v);
         self.windowed.record(v);
     }
+}
+
+/// One [`HistPair`] for the end-to-end latency plus one per [`QueryPhase`].
+/// The phase pairs are boxed so their 15 KiB overall histograms stay off
+/// the `ShardSlab` inline footprint.
+#[derive(Debug)]
+struct SlabCell {
+    total: HistPair,
+    phases: Box<[HistPair]>,
+}
+
+impl SlabCell {
+    fn new(windows: usize) -> Self {
+        Self {
+            total: HistPair::new(windows),
+            phases: (0..NUM_QUERY_PHASES)
+                .map(|_| HistPair::new(windows))
+                .collect(),
+        }
+    }
 
     /// Records one phase-decomposed observation: the total into the
-    /// end-to-end pair and each phase into its slot.
+    /// end-to-end pair and each phase into its pair, so every phase count
+    /// equals the end-to-end count.
     #[inline]
-    fn record_phases(&self, ns: PhaseNanos) {
-        self.record(ns.total_ns);
+    fn record(&self, ns: PhaseNanos) {
+        self.total.record(ns.total_ns);
         for phase in QueryPhase::ALL {
-            let slot = &self.phases[phase.index()];
-            let v = ns.phase(phase);
-            slot.overall.record(v);
-            slot.windowed.record(v);
+            self.phases[phase.index()].record(ns.phase(phase));
         }
     }
 }
@@ -500,17 +494,6 @@ impl ExemplarReservoir {
             .lock()
             .unwrap_or_else(PoisonError::into_inner) = taken;
     }
-
-    /// The completed window's exemplars, slowest first.
-    fn completed(&self) -> Vec<Exemplar> {
-        let mut out = self
-            .completed
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
-        out.sort_by_key(|b| std::cmp::Reverse(b.ns.total_ns));
-        out
-    }
 }
 
 /// One worker's slab: a `(QueryKind, DegreeClass)` grid of cells plus the
@@ -534,15 +517,64 @@ impl ShardSlab {
 }
 
 /// Per-window summary of one non-empty `(kind, class)` cell, merged across
-/// shards.
+/// shards: the end-to-end latency and its phase decomposition.
 #[derive(Debug, Clone)]
 pub struct WindowCell {
     /// Query kind.
     pub kind: QueryKind,
     /// Degree class.
     pub class: DegreeClass,
-    /// Merged-across-shards summary for the window.
+    /// Merged-across-shards end-to-end summary for the window.
     pub summary: HistogramSummary,
+    /// Merged-across-shards summary of each phase, indexed by
+    /// [`QueryPhase::index`].
+    pub phases: [HistogramSummary; NUM_QUERY_PHASES],
+}
+
+/// One completed serving window: the single record every view renders
+/// (trace counter events, `/metrics`, `/stats`, `/history`). Built once by
+/// [`QuerySlabs::summarize`]; the global [`rotate_window`] stamps its open
+/// and close times.
+#[derive(Debug, Clone, Default)]
+pub struct WindowSummary {
+    /// The window's epoch.
+    pub window: u64,
+    /// Window open time, ns on the span clock: the previous rotation, or
+    /// for window 0 the first record into the global slabs.
+    pub start_ns: u64,
+    /// Window close (rotation) time, ns on the span clock.
+    pub end_ns: u64,
+    /// Non-empty cells, slab-index order.
+    pub cells: Vec<WindowCell>,
+    /// The window's tail exemplars merged across shards, slowest first, at
+    /// most [`EXEMPLARS_PER_SHARD`].
+    pub exemplars: Vec<Exemplar>,
+}
+
+impl WindowSummary {
+    /// Window length, nanoseconds.
+    #[must_use]
+    pub fn dur_ns(&self) -> u64 {
+        self.end_ns.saturating_sub(self.start_ns)
+    }
+
+    /// Total queries across all cells.
+    #[must_use]
+    pub fn queries(&self) -> u64 {
+        self.cells.iter().map(|c| c.summary.count).sum()
+    }
+
+    /// Achieved throughput over the window (0 when the window has no
+    /// length).
+    #[must_use]
+    pub fn qps(&self) -> f64 {
+        let dur_ns = self.dur_ns();
+        if dur_ns > 0 {
+            self.queries() as f64 * 1e9 / dur_ns as f64
+        } else {
+            0.0
+        }
+    }
 }
 
 /// Sharded per-worker query-latency slabs. Value type — the closed-loop
@@ -565,35 +597,21 @@ impl QuerySlabs {
         }
     }
 
-    /// Number of shards.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The live epoch (all cells rotate in lockstep, so any cell's epoch is
     /// the slab set's epoch).
     #[must_use]
     pub fn epoch(&self) -> u64 {
-        self.shards[0].cells[0][0].windowed.epoch()
+        self.shards[0].cells[0][0].total.windowed.epoch()
     }
 
-    /// Records one latency observation from `shard` (reduced modulo the
-    /// shard count, so callers can pass a raw worker/client index). The
-    /// end-to-end view only — see [`Self::record_query`] for the
-    /// phase-decomposed, exemplar-capturing path.
-    #[inline]
-    pub fn record(&self, shard: usize, kind: QueryKind, class: DegreeClass, ns: u64) {
-        self.shards[shard % self.shards.len()].cells[kind.index()][class.index()].record(ns);
-    }
-
-    /// Records one phase-decomposed query from `shard`: the total into the
-    /// end-to-end histograms, each phase into its phase slot, and the whole
-    /// exemplar into the shard's tail reservoir.
+    /// Records one phase-decomposed query from `shard` (reduced modulo the
+    /// shard count, so callers can pass a raw worker/client index): the
+    /// total into the end-to-end histograms, each phase into its phase
+    /// slot, and the whole exemplar into the shard's tail reservoir.
     #[inline]
     pub fn record_query(&self, shard: usize, ex: Exemplar) {
         let slab = &self.shards[shard % self.shards.len()];
-        slab.cells[ex.kind.index()][ex.class.index()].record_phases(ex.ns);
+        slab.cells[ex.kind.index()][ex.class.index()].record(ex.ns);
         slab.exemplars.offer(ex);
     }
 
@@ -605,9 +623,9 @@ impl QuerySlabs {
         for shard in self.shards.iter() {
             for row in &shard.cells {
                 for cell in row {
-                    completed = cell.windowed.rotate();
-                    for slot in cell.phases.iter() {
-                        slot.windowed.rotate();
+                    completed = cell.total.windowed.rotate();
+                    for pair in cell.phases.iter() {
+                        pair.windowed.rotate();
                     }
                 }
             }
@@ -618,51 +636,33 @@ impl QuerySlabs {
 
     /// The completed window's tail exemplars, merged across shards, slowest
     /// first, truncated to the global top [`EXEMPLARS_PER_SHARD`].
-    #[must_use]
-    pub fn completed_exemplars(&self) -> Vec<Exemplar> {
+    fn completed_exemplars(&self) -> Vec<Exemplar> {
         let mut out: Vec<Exemplar> = self
             .shards
             .iter()
-            .flat_map(|s| s.exemplars.completed())
+            .flat_map(|s| {
+                s.exemplars
+                    .completed
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .clone()
+            })
             .collect();
         out.sort_by_key(|b| std::cmp::Reverse(b.ns.total_ns));
         out.truncate(EXEMPLARS_PER_SHARD);
         out
     }
 
-    /// Merges window `epoch` of every shard's `(kind, class)` cell into
-    /// `dst`. `None` for `kind`/`class` merges across that whole dimension.
-    pub fn merge_window_into(
-        &self,
-        epoch: u64,
+    /// Merges one histogram per selected cell (`pick` chooses it; `None`
+    /// skips the cell) across every shard and summarizes the result. `None`
+    /// for `kind`/`class` selects that whole dimension.
+    fn merged<'a>(
+        &'a self,
         kind: Option<QueryKind>,
         class: Option<DegreeClass>,
-        dst: &Histogram,
-    ) {
-        self.for_cells(kind, class, |cell| {
-            if let Some(h) = cell.windowed.window(epoch) {
-                h.merge_into(dst);
-            }
-        });
-    }
-
-    /// Merges the lifetime (overall) histograms of the selected cells into
-    /// `dst`. `None` for `kind`/`class` merges across that whole dimension.
-    pub fn merge_overall_into(
-        &self,
-        kind: Option<QueryKind>,
-        class: Option<DegreeClass>,
-        dst: &Histogram,
-    ) {
-        self.for_cells(kind, class, |cell| cell.overall.merge_into(dst));
-    }
-
-    fn for_cells(
-        &self,
-        kind: Option<QueryKind>,
-        class: Option<DegreeClass>,
-        mut f: impl FnMut(&SlabCell),
-    ) {
+        pick: impl Fn(&'a SlabCell) -> Option<&'a Histogram>,
+    ) -> HistogramSummary {
+        let scratch = Histogram::new();
         for shard in self.shards.iter() {
             for k in QueryKind::ALL {
                 if kind.is_some_and(|want| want != k) {
@@ -672,10 +672,13 @@ impl QuerySlabs {
                     if class.is_some_and(|want| want != c) {
                         continue;
                     }
-                    f(&shard.cells[k.index()][c.index()]);
+                    if let Some(h) = pick(&shard.cells[k.index()][c.index()]) {
+                        h.merge_into(&scratch);
+                    }
                 }
             }
         }
+        scratch.summary()
     }
 
     /// Merged-across-shards summary of window `epoch` for the selected
@@ -687,9 +690,7 @@ impl QuerySlabs {
         kind: Option<QueryKind>,
         class: Option<DegreeClass>,
     ) -> HistogramSummary {
-        let scratch = Histogram::new();
-        self.merge_window_into(epoch, kind, class, &scratch);
-        scratch.summary()
+        self.merged(kind, class, |cell| cell.total.windowed.window(epoch))
     }
 
     /// Merged-across-shards lifetime summary for the selected cells.
@@ -699,9 +700,7 @@ impl QuerySlabs {
         kind: Option<QueryKind>,
         class: Option<DegreeClass>,
     ) -> HistogramSummary {
-        let scratch = Histogram::new();
-        self.merge_overall_into(kind, class, &scratch);
-        scratch.summary()
+        self.merged(kind, class, |cell| Some(&cell.total.overall))
     }
 
     /// Merged-across-shards summary of one phase of window `epoch` for the
@@ -714,13 +713,9 @@ impl QuerySlabs {
         kind: Option<QueryKind>,
         class: Option<DegreeClass>,
     ) -> HistogramSummary {
-        let scratch = Histogram::new();
-        self.for_cells(kind, class, |cell| {
-            if let Some(h) = cell.phases[phase.index()].windowed.window(epoch) {
-                h.merge_into(&scratch);
-            }
-        });
-        scratch.summary()
+        self.merged(kind, class, |cell| {
+            cell.phases[phase.index()].windowed.window(epoch)
+        })
     }
 
     /// Merged-across-shards lifetime summary of one phase for the selected
@@ -732,59 +727,54 @@ impl QuerySlabs {
         kind: Option<QueryKind>,
         class: Option<DegreeClass>,
     ) -> HistogramSummary {
-        let scratch = Histogram::new();
-        self.for_cells(kind, class, |cell| {
-            cell.phases[phase.index()].overall.merge_into(&scratch);
-        });
-        scratch.summary()
+        self.merged(kind, class, |cell| {
+            Some(&cell.phases[phase.index()].overall)
+        })
     }
 
-    /// Every non-empty `(kind, class)` cell of window `epoch`, merged across
-    /// shards, in slab-index order.
+    /// Summarizes window `epoch`: every non-empty `(kind, class)` cell with
+    /// its phases, merged across shards in slab-index order, plus the tail
+    /// exemplars when `epoch` is the most recently completed window (the
+    /// only one whose exemplars the reservoirs keep). The open and close
+    /// times are left 0 for the caller that owns the clock to stamp.
     #[must_use]
-    pub fn window_cells(&self, epoch: u64) -> Vec<WindowCell> {
-        let mut out = Vec::new();
+    pub fn summarize(&self, epoch: u64) -> WindowSummary {
+        let mut cells = Vec::new();
         for kind in QueryKind::ALL {
             for class in DegreeClass::ALL {
                 let summary = self.window_summary(epoch, Some(kind), Some(class));
                 if summary.count > 0 {
-                    out.push(WindowCell {
+                    let phases = QueryPhase::ALL
+                        .map(|p| self.window_phase_summary(epoch, p, Some(kind), Some(class)));
+                    cells.push(WindowCell {
                         kind,
                         class,
                         summary,
+                        phases,
                     });
                 }
             }
         }
-        out
-    }
-
-    /// Snapshot of window `epoch` as [`MetricsSnapshot`] window series: one
-    /// [`WindowSeries`] per non-empty `(kind, class)` cell, named through
-    /// [`window_series_name`] — the same one-definition naming the trace
-    /// exporter uses, so every exporter agrees on `query.win.<kind>.<class>`.
-    #[must_use]
-    pub fn snapshot(&self, epoch: u64) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot::default();
-        for cell in self.window_cells(epoch) {
-            snap.windows.push(WindowSeries {
-                name: window_series_name(cell.kind, cell.class),
-                kind: cell.kind.name(),
-                class: cell.class.name(),
-                window: epoch,
-                summary: cell.summary,
-            });
+        let exemplars = if epoch + 1 == self.epoch() {
+            self.completed_exemplars()
+        } else {
+            Vec::new()
+        };
+        WindowSummary {
+            window: epoch,
+            cells,
+            exemplars,
+            ..WindowSummary::default()
         }
-        snap
     }
 }
 
 /// The canonical series name for one `(kind, class)` cell of the windowed
 /// serving grid: `query.win.<kind>.<class>`. The *single* definition of
 /// this naming — the Chrome-trace counter events
-/// ([`crate::export::chrome_trace_with_counters`]), [`QuerySlabs::snapshot`],
-/// and (through it) the exposition and JSON stats renderers all call here,
-/// so the name cannot drift between exporters.
+/// ([`crate::export::chrome_trace_with_counters`]) and the JSON stats
+/// renderer ([`crate::expo::snapshot_json`]) both call here, so the name
+/// cannot drift between exporters.
 #[must_use]
 pub fn window_series_name(kind: QueryKind, class: DegreeClass) -> String {
     format!("query.win.{}.{}", kind.name(), class.name())
@@ -811,105 +801,6 @@ pub fn exemplar_series_name(kind: QueryKind, class: DegreeClass) -> String {
     format!("query.exemplar.{}.{}", kind.name(), class.name())
 }
 
-/// One completed window of one `(kind, class)` cell from the process-global
-/// slabs, as drained by [`drain_window_log`] and exported as a
-/// `query.win.<kind>.<class>` trace counter event. Always compiled.
-#[derive(Debug, Clone)]
-pub struct WindowRecord {
-    /// The completed epoch.
-    pub window: u64,
-    /// Window open time (ns on the span clock; `0` for the first window,
-    /// meaning "process tracing epoch").
-    pub start_ns: u64,
-    /// Window close (rotation) time, ns on the span clock.
-    pub end_ns: u64,
-    /// Query kind.
-    pub kind: QueryKind,
-    /// Degree class.
-    pub class: DegreeClass,
-    /// Merged-across-shards summary for the window.
-    pub summary: HistogramSummary,
-}
-
-impl WindowRecord {
-    /// The record's canonical `query.win.<kind>.<class>` series name
-    /// (see [`window_series_name`]).
-    #[must_use]
-    pub fn series_name(&self) -> String {
-        window_series_name(self.kind, self.class)
-    }
-}
-
-/// One completed window of one phase of one `(kind, class)` cell from the
-/// process-global slabs, as drained by [`drain_phase_log`] and exported as
-/// a `query.phase.<phase>.<kind>.<class>` trace counter event. Always
-/// compiled.
-#[derive(Debug, Clone)]
-pub struct PhaseRecord {
-    /// The completed epoch.
-    pub window: u64,
-    /// Window close (rotation) time, ns on the span clock.
-    pub end_ns: u64,
-    /// Lifecycle phase.
-    pub phase: QueryPhase,
-    /// Query kind.
-    pub kind: QueryKind,
-    /// Degree class.
-    pub class: DegreeClass,
-    /// Merged-across-shards summary of the phase for the window.
-    pub summary: HistogramSummary,
-}
-
-impl PhaseRecord {
-    /// The record's canonical `query.phase.<phase>.<kind>.<class>` series
-    /// name (see [`phase_series_name`]).
-    #[must_use]
-    pub fn series_name(&self) -> String {
-        phase_series_name(self.phase, self.kind, self.class)
-    }
-}
-
-/// One tail exemplar of one completed window from the process-global
-/// slabs, as drained by [`drain_exemplar_log`] and exported as a
-/// `query.exemplar.<kind>.<class>` trace counter event. Always compiled.
-#[derive(Debug, Clone)]
-pub struct ExemplarRecord {
-    /// The completed epoch.
-    pub window: u64,
-    /// Window close (rotation) time, ns on the span clock.
-    pub end_ns: u64,
-    /// The captured tail query.
-    pub exemplar: Exemplar,
-}
-
-impl ExemplarRecord {
-    /// The record's canonical `query.exemplar.<kind>.<class>` series name
-    /// (see [`exemplar_series_name`]).
-    #[must_use]
-    pub fn series_name(&self) -> String {
-        exemplar_series_name(self.exemplar.kind, self.exemplar.class)
-    }
-}
-
-/// One rotated window's summary as retained by the history ring: the
-/// non-empty `(kind, class)` cells plus the window-level throughput.
-#[derive(Debug, Clone)]
-pub struct HistoryWindow {
-    /// The completed epoch.
-    pub window: u64,
-    /// Window close (rotation) time, ns on the span clock.
-    pub end_ns: u64,
-    /// Window length, nanoseconds (0 for the first window, whose open time
-    /// is the process tracing epoch).
-    pub dur_ns: u64,
-    /// Total queries across all cells.
-    pub queries: u64,
-    /// Achieved throughput over the window (0 when `dur_ns` is 0).
-    pub qps: f64,
-    /// Per-cell summaries, slab-index order, empty cells skipped.
-    pub cells: Vec<WindowCell>,
-}
-
 /// Fixed-capacity ring of rotated window summaries: the time-series view
 /// behind the admin plane's `history` endpoint. Pushing past capacity
 /// evicts oldest-first, and [`HistoryRing::window`] returns `None` for
@@ -918,7 +809,7 @@ pub struct HistoryWindow {
 #[derive(Debug)]
 pub struct HistoryRing {
     cap: usize,
-    ring: Mutex<VecDeque<HistoryWindow>>,
+    ring: Mutex<VecDeque<WindowSummary>>,
 }
 
 impl HistoryRing {
@@ -954,7 +845,7 @@ impl HistoryRing {
     }
 
     /// Appends one rotated window, evicting the oldest when full.
-    pub fn push(&self, window: HistoryWindow) {
+    pub fn push(&self, window: WindowSummary) {
         let mut ring = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
         if ring.len() == self.cap {
             ring.pop_front();
@@ -965,7 +856,7 @@ impl HistoryRing {
     /// The retained summary for `epoch`, or `None` once it has been
     /// evicted (or was never pushed).
     #[must_use]
-    pub fn window(&self, epoch: u64) -> Option<HistoryWindow> {
+    pub fn window(&self, epoch: u64) -> Option<WindowSummary> {
         self.ring
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -976,7 +867,7 @@ impl HistoryRing {
 
     /// Every retained window, oldest first.
     #[must_use]
-    pub fn snapshot(&self) -> Vec<HistoryWindow> {
+    pub fn snapshot(&self) -> Vec<WindowSummary> {
         self.ring
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -1007,18 +898,12 @@ static GLOBAL_SLABS: OnceLock<QuerySlabs> = OnceLock::new();
 static GLOBAL_HISTORY: OnceLock<HistoryRing> = OnceLock::new();
 
 #[cfg(feature = "enabled")]
-static WINDOW_LOG: Mutex<Vec<WindowRecord>> = Mutex::new(Vec::new());
+static WINDOW_LOG: Mutex<Vec<WindowSummary>> = Mutex::new(Vec::new());
 
+/// Span-clock time the live global window opened: the first record into
+/// the global slabs, then each [`rotate_window`].
 #[cfg(feature = "enabled")]
-static PHASE_LOG: Mutex<Vec<PhaseRecord>> = Mutex::new(Vec::new());
-
-#[cfg(feature = "enabled")]
-static EXEMPLAR_LOG: Mutex<Vec<ExemplarRecord>> = Mutex::new(Vec::new());
-
-/// Span-clock time of the last [`rotate_window`] (0 = none yet), so each
-/// drained window knows when it opened.
-#[cfg(feature = "enabled")]
-static LAST_ROTATE_NS: AtomicU64 = AtomicU64::new(0);
+static WINDOW_OPEN_NS: AtomicU64 = AtomicU64::new(0);
 
 /// Wall-clock length of the most recently completed window, nanoseconds
 /// (0 = no window completed yet). Lets [`serving_snapshot`] report a
@@ -1029,54 +914,31 @@ static LAST_WINDOW_DUR_NS: AtomicU64 = AtomicU64::new(0);
 
 #[cfg(feature = "enabled")]
 fn global_slabs() -> &'static QuerySlabs {
-    GLOBAL_SLABS.get_or_init(|| QuerySlabs::new(GLOBAL_SHARDS, GLOBAL_WINDOWS))
+    GLOBAL_SLABS.get_or_init(|| {
+        WINDOW_OPEN_NS.store(crate::span::now_ns(), Relaxed);
+        QuerySlabs::new(GLOBAL_SHARDS, GLOBAL_WINDOWS)
+    })
 }
 
-/// In-flight phase-timed guard from [`query_start`]. Construction stamps
-/// the `queued` checkpoint; [`dispatched`](Self::dispatched) and
-/// [`executed`](Self::executed) stamp the intermediate checkpoints;
-/// [`finish`](Self::finish) stamps `replied` and records the
-/// phase-decomposed sample. Checkpoints are optional — an unmarked
-/// `dispatched` means no queue phase, an unmarked `executed` means no
-/// reply phase (see [`QueryPhase`]) — so today's in-process query path and
-/// the future data plane share one API. Zero-sized when the `enabled`
+/// In-flight guard from [`query_start`]: construction stamps the start,
+/// [`finish`](Self::finish) records the elapsed time into the global slabs.
+/// The in-process query path has no queue or reply step, so the whole time
+/// counts as `exec` (see [`QueryPhase`]). Zero-sized when the `enabled`
 /// feature is off.
 pub struct QueryStart {
     #[cfg(feature = "enabled")]
-    armed: Option<PhaseClock>,
+    armed: Option<QueryClock>,
 }
 
-/// The checkpoint timestamps of one armed [`QueryStart`].
+/// The start time and source label of one armed [`QueryStart`].
 #[cfg(feature = "enabled")]
 #[derive(Clone, Copy)]
-struct PhaseClock {
+struct QueryClock {
     queued_ns: u64,
-    dispatched_ns: Option<u64>,
-    executed_ns: Option<u64>,
     source: u64,
 }
 
 impl QueryStart {
-    /// Marks the `dispatched` checkpoint: the query left the queue and
-    /// began executing. Queue time is 0 if never called.
-    #[inline(always)]
-    pub fn dispatched(&mut self) {
-        #[cfg(feature = "enabled")]
-        if let Some(clock) = self.armed.as_mut() {
-            clock.dispatched_ns = Some(crate::span::now_ns());
-        }
-    }
-
-    /// Marks the `executed` checkpoint: the query's work finished and the
-    /// reply phase began. Reply time is 0 if never called.
-    #[inline(always)]
-    pub fn executed(&mut self) {
-        #[cfg(feature = "enabled")]
-        if let Some(clock) = self.armed.as_mut() {
-            clock.executed_ns = Some(crate::span::now_ns());
-        }
-    }
-
     /// Labels the source vertex for tail-exemplar capture (0, the default,
     /// when the caller never labels one).
     #[inline(always)]
@@ -1091,18 +953,14 @@ impl QueryStart {
         }
     }
 
-    /// Completes the query: stamps the `replied` checkpoint, classifies
-    /// `degree()` (only evaluated when a sample will actually be recorded),
-    /// and records the phase-decomposed sample — histograms plus the tail
-    /// exemplar reservoir — into the global slabs.
+    /// Completes the query: classifies `degree()` (only evaluated when a
+    /// sample will actually be recorded) and records the sample —
+    /// histograms plus the tail exemplar reservoir — into the global slabs.
     #[inline(always)]
     pub fn finish(self, kind: QueryKind, degree: impl FnOnce() -> usize) {
         #[cfg(feature = "enabled")]
         if let Some(clock) = self.armed {
-            let replied = crate::span::now_ns();
-            let dispatched = clock.dispatched_ns.unwrap_or(clock.queued_ns);
-            let executed = clock.executed_ns.unwrap_or(replied);
-            let ns = PhaseNanos::from_checkpoints(clock.queued_ns, dispatched, executed, replied);
+            let ns = PhaseNanos::all_exec(crate::span::now_ns().saturating_sub(clock.queued_ns));
             let shard = rayon::current_thread_index().map_or(0, |i| i + 1);
             global_slabs().record_query(
                 shard,
@@ -1130,10 +988,8 @@ pub fn query_start() -> QueryStart {
     #[cfg(feature = "enabled")]
     {
         QueryStart {
-            armed: crate::is_enabled().then(|| PhaseClock {
+            armed: crate::is_enabled().then(|| QueryClock {
                 queued_ns: crate::span::now_ns(),
-                dispatched_ns: None,
-                executed_ns: None,
                 source: 0,
             }),
         }
@@ -1144,87 +1000,31 @@ pub fn query_start() -> QueryStart {
     }
 }
 
-/// Rotates the process-global slabs (single-rotator) and, for the
-/// completed window: appends one [`WindowRecord`] per non-empty
-/// `(kind, class)` cell to the window log, one [`PhaseRecord`] per phase of
-/// each such cell to the phase log, the window's tail exemplars to the
-/// exemplar log, and the window's summary to the history ring. Returns the
-/// completed epoch, or `None` when nothing was ever recorded (or the
-/// feature is off).
+/// Rotates the process-global slabs (single-rotator), summarizes the
+/// completed window once ([`QuerySlabs::summarize`], stamped with its open
+/// and close times) and hands that one [`WindowSummary`] to the history
+/// ring and the trace log ([`drain_window_log`]). Returns the completed
+/// epoch, or `None` when nothing was ever recorded (or the feature is off).
 pub fn rotate_window() -> Option<u64> {
     #[cfg(feature = "enabled")]
     {
         let slabs = GLOBAL_SLABS.get()?;
         let end_ns = crate::span::now_ns();
-        let start_ns = LAST_ROTATE_NS.swap(end_ns, Relaxed);
-        let dur_ns = end_ns.saturating_sub(start_ns);
-        LAST_WINDOW_DUR_NS.store(dur_ns, Relaxed);
+        let start_ns = WINDOW_OPEN_NS.swap(end_ns, Relaxed);
+        LAST_WINDOW_DUR_NS.store(end_ns.saturating_sub(start_ns), Relaxed);
         let completed = slabs.rotate();
-        let cells = slabs.window_cells(completed);
-
-        {
-            let mut phases = PHASE_LOG.lock().unwrap_or_else(PoisonError::into_inner);
-            for cell in &cells {
-                for phase in QueryPhase::ALL {
-                    let summary = slabs.window_phase_summary(
-                        completed,
-                        phase,
-                        Some(cell.kind),
-                        Some(cell.class),
-                    );
-                    if summary.count > 0 {
-                        phases.push(PhaseRecord {
-                            window: completed,
-                            end_ns,
-                            phase,
-                            kind: cell.kind,
-                            class: cell.class,
-                            summary,
-                        });
-                    }
-                }
-            }
-        }
-
-        {
-            let mut log = EXEMPLAR_LOG.lock().unwrap_or_else(PoisonError::into_inner);
-            for exemplar in slabs.completed_exemplars() {
-                log.push(ExemplarRecord {
-                    window: completed,
-                    end_ns,
-                    exemplar,
-                });
-            }
-        }
-
-        let queries: u64 = cells.iter().map(|c| c.summary.count).sum();
-        let qps = if dur_ns > 0 {
-            queries as f64 * 1e9 / dur_ns as f64
-        } else {
-            0.0
+        let summary = WindowSummary {
+            start_ns,
+            end_ns,
+            ..slabs.summarize(completed)
         };
         GLOBAL_HISTORY
             .get_or_init(|| HistoryRing::new(HISTORY_WINDOWS))
-            .push(HistoryWindow {
-                window: completed,
-                end_ns,
-                dur_ns,
-                queries,
-                qps,
-                cells: cells.clone(),
-            });
-
-        let mut log = WINDOW_LOG.lock().unwrap_or_else(PoisonError::into_inner);
-        for cell in cells {
-            log.push(WindowRecord {
-                window: completed,
-                start_ns,
-                end_ns,
-                kind: cell.kind,
-                class: cell.class,
-                summary: cell.summary,
-            });
-        }
+            .push(summary.clone());
+        WINDOW_LOG
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(summary);
         Some(completed)
     }
     #[cfg(not(feature = "enabled"))]
@@ -1238,7 +1038,7 @@ pub fn rotate_window() -> Option<u64> {
 /// Read-only and safe from any thread, like [`serving_snapshot`]. Empty
 /// when the feature is off or no window ever rotated.
 #[must_use]
-pub fn history_snapshot() -> Vec<HistoryWindow> {
+pub fn history_snapshot() -> Vec<WindowSummary> {
     #[cfg(feature = "enabled")]
     {
         GLOBAL_HISTORY
@@ -1253,14 +1053,15 @@ pub fn history_snapshot() -> Vec<HistoryWindow> {
 }
 
 /// Snapshot of the process-global serving slabs for live introspection
-/// (the admin plane's scrape path): the most recently *completed* window's
-/// `(kind, class)` grid as [`WindowSeries`] entries (the live, still-filling
-/// window when nothing has rotated yet), plus `query.win.epoch` (live
-/// epoch) and `query.win.duration_ns` (length of the last completed window)
-/// gauges. Read-only — never rotates, so it is safe to call from any
-/// thread while a reporter owns rotation (a scrape that races a rotation
-/// sees the one-sample boundary smear documented in the module header, no
-/// worse). Empty when the feature is off or nothing was ever recorded.
+/// (the admin plane's scrape path): the summary of the most recently
+/// *completed* window (the live, still-filling window when nothing has
+/// rotated yet) as the snapshot's window cells, plus `query.win.epoch`
+/// (live epoch) and `query.win.duration_ns` (length of the last completed
+/// window) gauges. Read-only — never rotates, so it is safe to call from
+/// any thread while a reporter owns rotation (a scrape that races a
+/// rotation sees the one-sample boundary smear documented in the module
+/// header, no worse). Empty when the feature is off or nothing was ever
+/// recorded.
 #[must_use]
 pub fn serving_snapshot() -> MetricsSnapshot {
     #[cfg(feature = "enabled")]
@@ -1269,15 +1070,19 @@ pub fn serving_snapshot() -> MetricsSnapshot {
             return MetricsSnapshot::default();
         };
         let live = slabs.epoch();
-        let shown = live.saturating_sub(1);
-        let mut snap = slabs.snapshot(shown);
-        snap.gauges
-            .push(("query.win.epoch".to_string(), live as i64));
-        snap.gauges.push((
-            "query.win.duration_ns".to_string(),
-            LAST_WINDOW_DUR_NS.load(Relaxed) as i64,
-        ));
-        snap
+        let shown = slabs.summarize(live.saturating_sub(1));
+        MetricsSnapshot {
+            gauges: vec![
+                ("query.win.epoch".to_string(), live as i64),
+                (
+                    "query.win.duration_ns".to_string(),
+                    LAST_WINDOW_DUR_NS.load(Relaxed) as i64,
+                ),
+            ],
+            window: shown.window,
+            windows: shown.cells,
+            ..MetricsSnapshot::default()
+        }
     }
     #[cfg(not(feature = "enabled"))]
     {
@@ -1285,41 +1090,15 @@ pub fn serving_snapshot() -> MetricsSnapshot {
     }
 }
 
-/// Takes every [`WindowRecord`] accumulated by [`rotate_window`] since the
-/// last drain, in rotation order. Empty without the `enabled` feature.
+/// Takes every [`WindowSummary`] accumulated by [`rotate_window`] since the
+/// last drain, in rotation order — the input of
+/// [`crate::export::chrome_trace_with_counters`]. Empty without the
+/// `enabled` feature.
 #[must_use]
-pub fn drain_window_log() -> Vec<WindowRecord> {
+pub fn drain_window_log() -> Vec<WindowSummary> {
     #[cfg(feature = "enabled")]
     {
         std::mem::take(&mut *WINDOW_LOG.lock().unwrap_or_else(PoisonError::into_inner))
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        Vec::new()
-    }
-}
-
-/// Takes every [`PhaseRecord`] accumulated by [`rotate_window`] since the
-/// last drain, in rotation order. Empty without the `enabled` feature.
-#[must_use]
-pub fn drain_phase_log() -> Vec<PhaseRecord> {
-    #[cfg(feature = "enabled")]
-    {
-        std::mem::take(&mut *PHASE_LOG.lock().unwrap_or_else(PoisonError::into_inner))
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        Vec::new()
-    }
-}
-
-/// Takes every [`ExemplarRecord`] accumulated by [`rotate_window`] since
-/// the last drain, in rotation order. Empty without the `enabled` feature.
-#[must_use]
-pub fn drain_exemplar_log() -> Vec<ExemplarRecord> {
-    #[cfg(feature = "enabled")]
-    {
-        std::mem::take(&mut *EXEMPLAR_LOG.lock().unwrap_or_else(PoisonError::into_inner))
     }
     #[cfg(not(feature = "enabled"))]
     {
@@ -1407,8 +1186,8 @@ mod tests {
             (7, QueryKind::Neighbors, DegreeClass::Low, 70), // 7 % 4 == 3
         ];
         for &(shard, kind, class, ns) in &samples {
-            sharded.record(shard, kind, class, ns);
-            single.record(0, kind, class, ns);
+            sharded.record_query(shard, query(kind, class, ns));
+            single.record_query(0, query(kind, class, ns));
         }
         let a = sharded.window_summary(0, Some(QueryKind::Neighbors), Some(DegreeClass::Low));
         let b = single.window_summary(0, Some(QueryKind::Neighbors), Some(DegreeClass::Low));
@@ -1419,6 +1198,16 @@ mod tests {
         assert_eq!(sharded.overall_summary(None, None).count, 4);
     }
 
+    /// One all-`exec` query sample with no source label.
+    fn query(kind: QueryKind, class: DegreeClass, ns: u64) -> Exemplar {
+        Exemplar {
+            kind,
+            class,
+            source: 0,
+            ns: PhaseNanos::all_exec(ns),
+        }
+    }
+
     #[test]
     fn window_series_names_are_canonical_and_snapshot_uses_them() {
         assert_eq!(
@@ -1426,44 +1215,53 @@ mod tests {
             "query.win.edge_binary.hub"
         );
         let slabs = QuerySlabs::new(2, 3);
-        slabs.record(0, QueryKind::Neighbors, DegreeClass::Low, 100);
-        slabs.record(1, QueryKind::SplitSearch, DegreeClass::Hub, 9_000);
-        let completed = slabs.rotate();
-        let snap = slabs.snapshot(completed);
-        assert!(snap.counters.is_empty() && snap.histograms.is_empty());
-        let names: Vec<_> = snap.windows.iter().map(|w| w.name.as_str()).collect();
-        assert_eq!(
-            names,
-            ["query.win.neighbors.low", "query.win.split.hub"],
-            "slab-index order, one definition of the naming"
-        );
-        // Labels mirror the name's components without re-deriving them.
-        assert_eq!(snap.windows[0].kind, "neighbors");
-        assert_eq!(snap.windows[0].class, "low");
-        assert_eq!(snap.windows[1].window, completed);
-        assert_eq!(snap.windows[1].summary.count, 1);
-        // An empty epoch snapshots to an empty series list.
-        assert!(slabs.snapshot(slabs.epoch()).windows.is_empty());
+        slabs.record_query(0, query(QueryKind::Neighbors, DegreeClass::Low, 100));
+        slabs.record_query(1, query(QueryKind::SplitSearch, DegreeClass::Hub, 9_000));
+        let summary = slabs.summarize(slabs.rotate());
+        let snap = MetricsSnapshot {
+            window: summary.window,
+            windows: summary.cells,
+            ..MetricsSnapshot::default()
+        };
+        // Slab-index order, one definition of the naming.
+        let text = crate::expo::snapshot_json(&snap).pretty();
+        let at = |name| text.find(&format!("\"series\": \"{name}\""));
+        assert!(at("query.win.neighbors.low") < at("query.win.split.hub"));
+        assert!(at("query.win.neighbors.low").is_some());
     }
 
     #[test]
     fn slab_rotation_is_lockstep_and_window_cells_skip_empty() {
         let slabs = QuerySlabs::new(2, 3);
-        slabs.record(0, QueryKind::Neighbors, DegreeClass::Low, 10);
-        slabs.record(1, QueryKind::SplitSearch, DegreeClass::Hub, 10_000);
+        slabs.record_query(0, query(QueryKind::Neighbors, DegreeClass::Low, 10));
+        slabs.record_query(1, query(QueryKind::SplitSearch, DegreeClass::Hub, 10_000));
         let completed = slabs.rotate();
         assert_eq!(completed, 0);
         assert_eq!(slabs.epoch(), 1);
-        let cells = slabs.window_cells(completed);
+        let summary = slabs.summarize(completed);
+        assert_eq!(summary.window, completed);
+        let cells = &summary.cells;
         assert_eq!(cells.len(), 2);
         assert_eq!(cells[0].kind, QueryKind::Neighbors);
         assert_eq!(cells[0].class, DegreeClass::Low);
         assert_eq!(cells[1].kind, QueryKind::SplitSearch);
         assert_eq!(cells[1].class, DegreeClass::Hub);
+        // Every phase count equals the cell count; all time is `exec`.
+        for cell in cells {
+            for phase in QueryPhase::ALL {
+                assert_eq!(cell.phases[phase.index()].count, cell.summary.count);
+            }
+            assert_eq!(cell.phases[QueryPhase::Exec.index()].sum, cell.summary.sum);
+        }
+        assert_eq!(summary.queries(), 2);
+        // The completed window carries its exemplars, slowest first.
+        let totals: Vec<_> = summary.exemplars.iter().map(|e| e.ns.total_ns).collect();
+        assert_eq!(totals, [10_000, 10]);
         // Overall view survives rotation.
         assert_eq!(slabs.overall_summary(None, None).count, 2);
-        // The new live window is empty.
-        assert!(slabs.window_cells(slabs.epoch()).is_empty());
+        // The new live window is empty and has no exemplars yet.
+        let live = slabs.summarize(slabs.epoch());
+        assert!(live.cells.is_empty() && live.exemplars.is_empty());
     }
 
     #[test]
@@ -1559,10 +1357,8 @@ mod tests {
 
     fn exemplar(total_ns: u64, source: u64) -> Exemplar {
         Exemplar {
-            kind: QueryKind::EdgeScan,
-            class: DegreeClass::Mid,
             source,
-            ns: PhaseNanos::all_exec(total_ns),
+            ..query(QueryKind::EdgeScan, DegreeClass::Mid, total_ns)
         }
     }
 
@@ -1607,14 +1403,12 @@ mod tests {
         assert!(kept.iter().all(|e| e.ns.total_ns >= 4_000));
     }
 
-    fn history_window(epoch: u64) -> HistoryWindow {
-        HistoryWindow {
+    fn history_window(epoch: u64) -> WindowSummary {
+        WindowSummary {
             window: epoch,
+            start_ns: epoch * 1_000,
             end_ns: (epoch + 1) * 1_000,
-            dur_ns: 1_000,
-            queries: 10,
-            qps: 10.0,
-            cells: Vec::new(),
+            ..WindowSummary::default()
         }
     }
 

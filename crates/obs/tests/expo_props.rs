@@ -1,11 +1,13 @@
 //! Property tests for the exposition layer: arbitrary snapshots — with
-//! hostile metric names and label values — must render to a document the
-//! in-tree parser accepts, and every value and label must survive the
-//! round trip. Runs without the `enabled` feature: [`parcsr_obs::expo`] is
-//! pure string work over an already-built [`MetricsSnapshot`].
+//! hostile metric names — must render to a document the in-tree parser
+//! accepts with every value intact, and hostile label values must survive
+//! escape → parse. Runs without the `enabled`
+//! feature: [`parcsr_obs::expo`] is pure string work over an already-built
+//! [`MetricsSnapshot`].
 
 use parcsr_obs::expo::{self, FamilyKind};
-use parcsr_obs::metrics::{HistogramSummary, MetricsSnapshot, WindowSeries};
+use parcsr_obs::metrics::{HistogramSummary, MetricsSnapshot};
+use parcsr_obs::serve::{DegreeClass, QueryKind, WindowCell};
 use proptest::prelude::*;
 
 /// Name fragments chosen to stress sanitization: dots, dashes, spaces,
@@ -73,44 +75,38 @@ fn arb_snapshot() -> impl Strategy<Value = MetricsSnapshot> {
         ),
         0..4,
     );
-    let windows = prop::collection::vec(
-        (
-            0usize..LABEL_VALUES.len(),
-            0usize..LABEL_VALUES.len(),
-            0u64..1000,
-            arb_summary(),
-        ),
-        0..5,
-    );
-    (counters, gauges, hists, windows).prop_map(|(counters, gauges, hists, windows)| {
-        let mut snap = MetricsSnapshot::default();
-        for (parts, v) in counters {
-            snap.counters.push((dotted_name(&parts), v));
-        }
-        for (parts, v) in gauges {
-            snap.gauges.push((dotted_name(&parts), v));
-        }
-        for (parts, s) in hists {
-            snap.histograms.push((dotted_name(&parts), s));
-        }
-        // (kind, class) cells are unique in a real `QuerySlabs::snapshot`
-        // (one cell per grid slot); duplicates are an upstream bug that
-        // expo-check flags, not something render() merges away.
-        let mut cells_seen = std::collections::BTreeSet::new();
-        for (k, c, window, s) in windows {
-            if !cells_seen.insert((k, c)) {
-                continue;
+    let windows = prop::collection::vec((0usize..5, 0usize..3, arb_summary()), 0..5);
+    (counters, gauges, hists, 0u64..1000, windows).prop_map(
+        |(counters, gauges, hists, window, windows)| {
+            let mut snap = MetricsSnapshot::default();
+            for (parts, v) in counters {
+                snap.counters.push((dotted_name(&parts), v));
             }
-            snap.windows.push(WindowSeries {
-                name: format!("query.win.{k}.{c}"),
-                kind: LABEL_VALUES[k],
-                class: LABEL_VALUES[c],
-                window,
-                summary: s,
-            });
-        }
-        snap
-    })
+            for (parts, v) in gauges {
+                snap.gauges.push((dotted_name(&parts), v));
+            }
+            for (parts, s) in hists {
+                snap.histograms.push((dotted_name(&parts), s));
+            }
+            // (kind, class) cells are unique in a real `QuerySlabs::summarize`
+            // (one cell per grid slot); duplicates are an upstream bug that
+            // expo-check flags, not something render() merges away.
+            let mut cells_seen = std::collections::BTreeSet::new();
+            snap.window = window;
+            for (k, c, s) in windows {
+                if !cells_seen.insert((k, c)) {
+                    continue;
+                }
+                snap.windows.push(WindowCell {
+                    kind: QueryKind::ALL[k],
+                    class: DegreeClass::ALL[c],
+                    phases: [s; 3],
+                    summary: s,
+                });
+            }
+            snap
+        },
+    )
 }
 
 proptest! {
@@ -167,28 +163,6 @@ proptest! {
         got.sort_by(f64::total_cmp);
         prop_assert_eq!(got, want);
 
-        // Label escaping round-trips: the (kind, class) pairs recovered
-        // from quantile samples equal the input pairs, raw bytes intact.
-        let mut want_cells: Vec<(String, String)> = snap
-            .windows
-            .iter()
-            .map(|w| (w.kind.to_string(), w.class.to_string()))
-            .collect();
-        let mut got_cells: Vec<(String, String)> = expo
-            .samples
-            .iter()
-            .filter(|s| s.name == "parcsr_query_win_ns" && s.label("quantile") == Some("0.5"))
-            .map(|s| {
-                (
-                    s.label("kind").unwrap_or("").to_string(),
-                    s.label("class").unwrap_or("").to_string(),
-                )
-            })
-            .collect();
-        want_cells.sort();
-        got_cells.sort();
-        prop_assert_eq!(got_cells, want_cells);
-
         // Every sample belongs to a family declared earlier in the text.
         for s in &expo.samples {
             let family = expo.types.iter().find(|t| {
@@ -202,9 +176,34 @@ proptest! {
         }
     }
 
+    /// Label escaping round-trips: any label value, hostile or not,
+    /// survives `escape_label` → a labeled sample line → `parse` with its
+    /// raw bytes intact, next to a second label and a quantile.
+    #[test]
+    fn escaped_label_values_round_trip_through_parse(
+        picks in prop::collection::vec(0usize..LABEL_VALUES.len(), 1..4),
+        other in 0usize..LABEL_VALUES.len(),
+        value in 0u64..1 << 50,
+    ) {
+        let raw: String = picks.iter().map(|&i| LABEL_VALUES[i]).collect();
+        let other = LABEL_VALUES[other];
+        let text = format!(
+            "m{{k=\"{}\",j=\"{}\",quantile=\"0.99\"}} {value}\n# EOF\n",
+            expo::escape_label(&raw),
+            expo::escape_label(other),
+        );
+        let doc = expo::parse(&text).unwrap();
+        prop_assert_eq!(doc.samples.len(), 1);
+        let sample = &doc.samples[0];
+        prop_assert_eq!(sample.label("k"), Some(raw.as_str()));
+        prop_assert_eq!(sample.label("j"), Some(other));
+        prop_assert_eq!(sample.label("quantile"), Some("0.99"));
+        prop_assert_eq!(sample.value, value as f64);
+    }
+
     /// The JSON stats document built from the same snapshot always parses
-    /// with the in-tree JSON parser (names and labels go in verbatim, so
-    /// string escaping is exercised by the same hostile inputs).
+    /// with the in-tree JSON parser (names go in verbatim, so string
+    /// escaping is exercised by the same hostile inputs).
     #[test]
     fn stats_json_always_parses(snap in arb_snapshot()) {
         let doc = expo::snapshot_json(&snap);

@@ -8,7 +8,8 @@
 
 use parcsr_obs::metrics::Histogram;
 use parcsr_obs::serve::{
-    DegreeClass, HistoryRing, HistoryWindow, QueryKind, QuerySlabs, WindowedHistogram,
+    DegreeClass, Exemplar, HistoryRing, PhaseNanos, QueryKind, QuerySlabs, WindowSummary,
+    WindowedHistogram,
 };
 use proptest::prelude::*;
 
@@ -24,7 +25,15 @@ fn arb_samples(max: usize) -> impl Strategy<Value = Vec<(usize, usize, usize, u6
 fn record_all(slabs: &QuerySlabs, samples: &[(usize, usize, usize, u64)], spread: bool) {
     for &(shard, k, c, ns) in samples {
         let shard = if spread { shard } else { 0 };
-        slabs.record(shard, QueryKind::ALL[k], DegreeClass::ALL[c], ns);
+        slabs.record_query(
+            shard,
+            Exemplar {
+                kind: QueryKind::ALL[k],
+                class: DegreeClass::ALL[c],
+                source: 0,
+                ns: PhaseNanos::all_exec(ns),
+            },
+        );
     }
 }
 
@@ -168,13 +177,11 @@ proptest! {
     ) {
         let ring = HistoryRing::new(cap);
         for i in 0..pushes {
-            ring.push(HistoryWindow {
+            ring.push(WindowSummary {
                 window: i as u64,
-                end_ns: (i as u64 + 1) * 1_000_000,
-                dur_ns: 1_000_000,
-                queries: i as u64 * 10,
-                qps: i as f64,
-                cells: Vec::new(),
+                start_ns: i as u64 * 1_000_000,
+                end_ns: (i as u64 + 1) * 1_000_000 + i as u64,
+                ..WindowSummary::default()
             });
         }
         prop_assert_eq!(ring.len(), pushes.min(cap));
@@ -188,7 +195,7 @@ proptest! {
         for i in 0..pushes as u64 {
             let hit = ring.window(i);
             if i >= oldest_retained as u64 {
-                prop_assert_eq!(hit.map(|w| w.queries), Some(i * 10));
+                prop_assert_eq!(hit.map(|w| w.dur_ns()), Some(1_000_000 + i));
             } else {
                 prop_assert!(hit.is_none(), "window {i} should have been evicted");
             }

@@ -13,7 +13,7 @@ use crate::proto::{
 };
 use parcsr_obs::expo;
 use parcsr_obs::metrics::MetricsSnapshot;
-use parcsr_obs::serve::HistoryWindow;
+use parcsr_obs::serve::WindowSummary;
 use std::io::{self, Read, Write};
 
 /// Snapshot provider: the admin listener passes
@@ -22,7 +22,7 @@ pub type SnapshotFn = fn() -> MetricsSnapshot;
 
 /// History provider for the `history` endpoint: the admin listener passes
 /// [`parcsr_obs::serve::history_snapshot`]; tests inject fixed rings.
-pub type HistoryFn = fn() -> Vec<HistoryWindow>;
+pub type HistoryFn = fn() -> Vec<WindowSummary>;
 
 /// Why a session ended (all are orderly; I/O errors surface as `Err` from
 /// [`Session::run`] instead).
@@ -187,7 +187,25 @@ impl<S: Read + Write> Session<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parcsr_obs::metrics::{HistogramSummary, WindowSeries};
+    use parcsr_obs::metrics::HistogramSummary;
+    use parcsr_obs::serve::{DegreeClass, QueryKind, WindowCell};
+
+    fn test_cell() -> WindowCell {
+        let summary = HistogramSummary {
+            count: 4,
+            sum: 400,
+            max: 200,
+            p50: 90,
+            p95: 200,
+            p99: 200,
+        };
+        WindowCell {
+            kind: QueryKind::Neighbors,
+            class: DegreeClass::Hub,
+            phases: [summary; 3],
+            summary,
+        }
+    }
 
     /// In-memory stream: reads hand back scripted chunks (then EOF), writes
     /// accumulate. Chunks smaller than the session's fill size exercise the
@@ -246,43 +264,18 @@ mod tests {
     fn test_snapshot() -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
         snap.counters.push(("queries.total".to_string(), 17));
-        snap.windows.push(WindowSeries {
-            name: "query.win.neighbors.hub".to_string(),
-            kind: "neighbors",
-            class: "hub",
-            window: 3,
-            summary: HistogramSummary {
-                count: 4,
-                sum: 400,
-                max: 200,
-                p50: 90,
-                p95: 200,
-                p99: 200,
-            },
-        });
+        snap.window = 3;
+        snap.windows.push(test_cell());
         snap
     }
 
-    fn test_history() -> Vec<HistoryWindow> {
-        use parcsr_obs::serve::{DegreeClass, QueryKind, WindowCell};
-        vec![HistoryWindow {
+    fn test_history() -> Vec<WindowSummary> {
+        vec![WindowSummary {
             window: 9,
+            start_ns: 1_000_000,
             end_ns: 2_000_000,
-            dur_ns: 1_000_000,
-            queries: 4,
-            qps: 4_000.0,
-            cells: vec![WindowCell {
-                kind: QueryKind::Neighbors,
-                class: DegreeClass::Hub,
-                summary: HistogramSummary {
-                    count: 4,
-                    sum: 400,
-                    max: 200,
-                    p50: 90,
-                    p95: 200,
-                    p99: 200,
-                },
-            }],
+            cells: vec![test_cell()],
+            exemplars: Vec::new(),
         }]
     }
 

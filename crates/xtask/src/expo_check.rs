@@ -154,7 +154,8 @@ pub fn check_expo_text(text: &str) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parcsr_obs::metrics::{HistogramSummary, MetricsSnapshot, WindowSeries};
+    use parcsr_obs::metrics::{HistogramSummary, MetricsSnapshot};
+    use parcsr_obs::serve::{DegreeClass, QueryKind, WindowCell};
 
     fn live_render() -> String {
         let mut snap = MetricsSnapshot::default();
@@ -171,19 +172,20 @@ mod tests {
                 p99: 200,
             },
         ));
-        snap.windows.push(WindowSeries {
-            name: "query.win.split.hub".to_string(),
-            kind: "split",
-            class: "hub",
-            window: 3,
-            summary: HistogramSummary {
-                count: 7,
-                sum: 700,
-                max: 400,
-                p50: 100,
-                p95: 400,
-                p99: 400,
-            },
+        let summary = HistogramSummary {
+            count: 7,
+            sum: 700,
+            max: 400,
+            p50: 100,
+            p95: 400,
+            p99: 400,
+        };
+        snap.window = 3;
+        snap.windows.push(WindowCell {
+            kind: QueryKind::SplitSearch,
+            class: DegreeClass::Hub,
+            phases: [summary; 3],
+            summary,
         });
         expo::render(&snap)
     }

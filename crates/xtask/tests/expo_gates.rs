@@ -46,25 +46,30 @@ fn reject_fixtures_each_trip_their_rule() {
 /// this is the test that breaks first.
 #[test]
 fn live_renderer_output_passes_the_gate() {
-    use parcsr_obs::metrics::{HistogramSummary, MetricsSnapshot, WindowSeries};
+    use parcsr_obs::metrics::{HistogramSummary, MetricsSnapshot};
+    use parcsr_obs::serve::{DegreeClass, QueryKind, WindowCell};
 
     let mut snap = MetricsSnapshot::default();
     snap.counters.push(("queries.total".to_string(), 99));
     snap.gauges.push(("query.win.epoch".to_string(), 3));
-    for (kind, class) in [("neighbors", "low"), ("split", "hub")] {
-        snap.windows.push(WindowSeries {
-            name: format!("query.win.{kind}.{class}"),
+    let summary = HistogramSummary {
+        count: 10,
+        sum: 1000,
+        max: 400,
+        p50: 80,
+        p95: 300,
+        p99: 400,
+    };
+    snap.window = 2;
+    for (kind, class) in [
+        (QueryKind::Neighbors, DegreeClass::Low),
+        (QueryKind::SplitSearch, DegreeClass::Hub),
+    ] {
+        snap.windows.push(WindowCell {
             kind,
             class,
-            window: 2,
-            summary: HistogramSummary {
-                count: 10,
-                sum: 1000,
-                max: 400,
-                p50: 80,
-                p95: 300,
-                p99: 400,
-            },
+            summary,
+            phases: [summary; 3],
         });
     }
     let text = parcsr_obs::expo::render(&snap);
