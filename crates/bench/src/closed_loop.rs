@@ -13,7 +13,7 @@
 //! Closed-loop means each client waits for its own previous query — offered
 //! load adapts to service time, so the reported qps is the *sustained*
 //! throughput at the observed latencies, the quantity an SLO is written
-//! against (`cargo xtask slo-check` consumes the JSON this module emits).
+//! against (`cargo xtask gate` grades the JSON this module emits).
 //!
 //! Two measurement paths coexist on purpose:
 //!
@@ -122,10 +122,6 @@ pub struct DriverOptions {
     pub seed: u64,
     /// Emit the result as JSON on stdout (the human table moves to stderr).
     pub json: bool,
-    /// SLO target: overall p99 latency must be ≤ this many ns.
-    pub p99_ns: Option<u64>,
-    /// SLO target: sustained qps must be ≥ this.
-    pub min_qps: Option<f64>,
     /// Write a Chrome trace of the run (needs `--features obs`).
     pub trace: Option<String>,
     /// Print the obs metrics summary to stderr (needs `--features obs`).
@@ -150,8 +146,6 @@ impl Default for DriverOptions {
             zipf_s: 1.0,
             seed: 42,
             json: false,
-            p99_ns: None,
-            min_qps: None,
             trace: None,
             metrics: false,
             trace_sample: None,
@@ -234,22 +228,6 @@ impl DriverOptions {
                         .map_err(|e| format!("--seed: {e}"))?;
                 }
                 "--json" => opts.json = true,
-                "--p99-ns" => {
-                    opts.p99_ns = Some(
-                        value("--p99-ns")?
-                            .parse()
-                            .map_err(|e| format!("--p99-ns: {e}"))?,
-                    );
-                }
-                "--min-qps" => {
-                    let q: f64 = value("--min-qps")?
-                        .parse()
-                        .map_err(|e| format!("--min-qps: {e}"))?;
-                    if !q.is_finite() || q < 0.0 {
-                        return Err("--min-qps must be finite and non-negative".into());
-                    }
-                    opts.min_qps = Some(q);
-                }
                 "--trace" => opts.trace = Some(value("--trace")?),
                 "--metrics" => opts.metrics = true,
                 "--trace-sample" => {
@@ -302,8 +280,6 @@ Flags:
   --zipf-s <f>        Zipf exponent of the degree-rank skew (default 1.0; 0 = uniform)
   --seed <n>          RNG seed (default 42)
   --json              emit the result JSON on stdout (table moves to stderr)
-  --p99-ns <n>        SLO: overall p99 latency must be <= n ns
-  --min-qps <f>       SLO: sustained throughput must be >= f queries/s
   --trace <file>      write a Chrome trace with query.win.* counter events
   --metrics           print the obs metrics summary to stderr
   --trace-sample <n>  record every nth same-name span per thread
@@ -541,44 +517,7 @@ impl ToJson for WindowReport {
     }
 }
 
-/// Achieved-vs-target SLO verdict.
-#[derive(Debug, Clone)]
-pub struct SloReport {
-    /// `--p99-ns` target, if set.
-    pub target_p99_ns: Option<u64>,
-    /// `--min-qps` target, if set.
-    pub target_min_qps: Option<f64>,
-    /// Whole-run p99 latency, ns.
-    pub achieved_p99_ns: u64,
-    /// Whole-run sustained throughput, queries/s.
-    pub achieved_qps: f64,
-    /// Whether every set target was met (`None` when no target was set).
-    pub met: Option<bool>,
-}
-
-impl ToJson for SloReport {
-    fn to_json(&self) -> Json {
-        Json::Object(vec![
-            (
-                "target_p99_ns".into(),
-                self.target_p99_ns
-                    .map_or(Json::Null, |v| Json::Int(v as i64)),
-            ),
-            (
-                "target_min_qps".into(),
-                self.target_min_qps.map_or(Json::Null, Json::Float),
-            ),
-            (
-                "achieved_p99_ns".into(),
-                Json::Int(self.achieved_p99_ns as i64),
-            ),
-            ("achieved_qps".into(), Json::Float(self.achieved_qps)),
-            ("met".into(), self.met.map_or(Json::Null, Json::Bool)),
-        ])
-    }
-}
-
-/// Whole driver run: config echo, per-window series, lifetime rollup, SLO.
+/// Whole driver run: config echo, per-window series, lifetime rollup.
 #[derive(Debug, Clone)]
 pub struct DriverReport {
     /// Graph display name (`hub@1` / `WebNotreDame@0.25`).
@@ -605,8 +544,6 @@ pub struct DriverReport {
     pub class_phases: Vec<ClassPhases>,
     /// Per-window tail exemplars (windows that retained none are omitted).
     pub exemplars: Vec<WindowExemplars>,
-    /// Achieved-vs-target verdict.
-    pub slo: SloReport,
 }
 
 impl ToJson for DriverReport {
@@ -638,7 +575,6 @@ impl ToJson for DriverReport {
                     ("windows".into(), self.exemplars.as_slice().to_json()),
                 ]),
             ),
-            ("slo".into(), self.slo.to_json()),
         ])
     }
 }
@@ -887,10 +823,6 @@ pub fn run(opts: &DriverOptions) -> DriverReport {
             })
         })
         .collect();
-    let overall = window_report(lifetime, 0, 0.0, elapsed_ms);
-    let (qps, p99) = (overall.qps, overall.p99_ns);
-    let met = (opts.p99_ns.is_some() || opts.min_qps.is_some())
-        .then(|| opts.p99_ns.is_none_or(|t| p99 <= t) && opts.min_qps.is_none_or(|t| qps >= t));
     DriverReport {
         graph: graph_name,
         nodes: n,
@@ -901,22 +833,14 @@ pub fn run(opts: &DriverOptions) -> DriverReport {
         seed: opts.seed,
         elapsed_ms,
         windows,
-        overall,
+        overall: window_report(lifetime, 0, 0.0, elapsed_ms),
         class_phases,
         exemplars,
-        slo: SloReport {
-            target_p99_ns: opts.p99_ns,
-            target_min_qps: opts.min_qps,
-            achieved_p99_ns: p99,
-            achieved_qps: qps,
-            met,
-        },
     }
 }
 
 /// Renders the human window table (one line per window, then the lifetime
-/// rollup, per-kind/per-class rollups, and the SLO verdict when targets
-/// were set).
+/// rollup, per-kind/per-class/per-phase rollups, and the slowest query).
 #[must_use]
 pub fn render_table(report: &DriverReport) -> String {
     use std::fmt::Write;
@@ -1004,19 +928,6 @@ pub fn render_table(report: &DriverReport) -> String {
             us(slowest.ns.reply_ns),
         );
     }
-    let slo = &report.slo;
-    if let Some(met) = slo.met {
-        let _ = writeln!(
-            out,
-            "slo: {} (p99 {:.1} µs vs target {}, qps {:.0} vs floor {})",
-            if met { "MET" } else { "MISSED" },
-            us(slo.achieved_p99_ns),
-            slo.target_p99_ns
-                .map_or("-".into(), |t| format!("{:.1} µs", us(t))),
-            slo.achieved_qps,
-            slo.target_min_qps.map_or("-".into(), |t| format!("{t:.0}")),
-        );
-    }
     out
 }
 
@@ -1035,8 +946,6 @@ mod tests {
         assert_eq!(o.clients, 4);
         assert_eq!(o.mix, [45, 25, 20, 10]);
         assert_eq!(o.window_ms, 250);
-        assert_eq!(o.p99_ns, None);
-        assert_eq!(o.min_qps, None);
     }
 
     #[test]
@@ -1059,10 +968,6 @@ mod tests {
             "--seed",
             "7",
             "--json",
-            "--p99-ns",
-            "90000",
-            "--min-qps",
-            "1000.5",
             "--admin-port",
             "9184",
         ])
@@ -1076,8 +981,6 @@ mod tests {
         assert_eq!(o.zipf_s, 0.8);
         assert_eq!(o.seed, 7);
         assert!(o.json);
-        assert_eq!(o.p99_ns, Some(90_000));
-        assert_eq!(o.min_qps, Some(1000.5));
         assert_eq!(o.admin_port, Some(9184));
     }
 
@@ -1090,9 +993,12 @@ mod tests {
         assert!(parse(&["--mix", "1,2,3"]).is_err());
         assert!(parse(&["--mix", "0,0,0,0"]).is_err());
         assert!(parse(&["--zipf-s", "-1"]).is_err());
-        assert!(parse(&["--min-qps", "nan"]).is_err());
         assert!(parse(&["--nope"]).is_err());
-        assert!(parse(&["--p99-ns"]).is_err());
+        // SLO grading lives in `cargo xtask gate`, not the driver.
+        for flag in ["--p99-ns", "--min-qps"] {
+            let err = parse(&[flag, "1"]).unwrap_err();
+            assert!(err.starts_with(&format!("unknown flag {flag}")), "{err}");
+        }
         assert!(parse(&["--admin-port", "notaport"]).is_err());
         assert!(parse(&["--admin-port", "70000"]).is_err());
     }
@@ -1120,8 +1026,6 @@ mod tests {
             clients: 2,
             duration_ms: 220,
             window_ms: 60,
-            p99_ns: Some(u64::MAX),
-            min_qps: Some(0.0),
             ..DriverOptions::default()
         };
         let report = run(&opts);
@@ -1150,8 +1054,6 @@ mod tests {
             "lost {} records to rotation smear (bound {smear_bound})",
             report.overall.requests - sum
         );
-        // Trivial SLO targets are met and echoed.
-        assert_eq!(report.slo.met, Some(true));
         // Phase rollups: the three phases partition each request exactly,
         // so their total time equals the end-to-end total and queue/exec
         // are both represented.
@@ -1216,11 +1118,10 @@ mod tests {
             .as_array()
             .unwrap()
             .is_empty());
-        // The human table renders every window plus the verdict line.
+        // The human table renders the rollups and the slowest query.
         let table = render_table(&report);
         assert!(table.contains("overall:"));
         assert!(table.contains("phase"));
         assert!(table.contains("slowest query:"));
-        assert!(table.contains("slo: MET"));
     }
 }

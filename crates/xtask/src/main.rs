@@ -18,27 +18,21 @@
 //!   utilization, critical-path ratio, and chunk-imbalance statistics,
 //!   with per-worker timeline bars for `--stage`. `--check` gates CI on
 //!   every stage reporting positive utilization.
-//! * `stage-diff BASE CUR [--threshold F]` — compares two bench
-//!   `*.stages.json` files (see [`stage_diff`]): per-stage construction
-//!   time *shares* and peak heap bytes must stay within the threshold
-//!   (default 0.10) of the baseline. CI diffs the smoke run against a
-//!   committed baseline so a stage silently ballooning fails the build.
-//! * `slo-check RESULT.json [--p99-ns N] [--min-qps F] [--p99-queue-ns N]
-//!   [--p99-exec-ns N] [--baseline FILE] [--slack F]` — gates a
-//!   `queries_closed_loop --json` artifact (see [`xtask::slo_check`]): the
-//!   overall p99 latency must stay under the ceiling, the sustained qps
-//!   above the floor, and the queue/exec phase p99s under their own
-//!   ceilings, with thresholds given explicitly and/or derived from a
-//!   committed baseline result ± slack. CI runs it on a serving smoke so a
-//!   latency-tail, throughput, or queueing regression fails the build.
-//! * `bless-baseline` — reruns the CI obs smoke (same binary, same flags,
-//!   reps 5) and rewrites `results/baselines/table2_smoke.stages.json`
-//!   with the fresh output, after validating that it parses and
-//!   stage-diffs cleanly against itself; then reruns the CI serving smoke
-//!   and rewrites `results/baselines/closed_loop_smoke.json` the same way
-//!   (fresh result must slo-check against itself). Run it after
-//!   intentionally changing the pipeline's stage shape or the serving
-//!   path's performance envelope.
+//! * `gate CUR [--baseline BASE] [--max KEY=V]... [--min KEY=V]...` — the
+//!   one baseline gate (see [`xtask::gate`]): flattens a bench
+//!   `*.stages.json` breakdown or a `queries_closed_loop --json` result into
+//!   metric rows and checks them against a committed baseline (stage shares
+//!   ± 0.25 points, stage peak memory ± 25%, serving p99 and queue/exec
+//!   phase p99 up to ×1.5, qps down to ×0.5) and against explicit bounds on
+//!   any row key. CI gates the obs smoke's breakdown and the serving smoke
+//!   this way, so a stage silently ballooning or a latency, throughput or
+//!   queueing regression fails the build; a gate that compared nothing
+//!   fails too.
+//! * `bless-baseline` — reruns the CI smoke of every committed baseline
+//!   (same binaries, same flags; see [`xtask::gate::BLESS`]), gates each
+//!   fresh output against itself, and only when all of them passed
+//!   rewrites `results/baselines/`. Run it after intentionally changing the
+//!   pipeline's stage shape or the serving path's performance envelope.
 //! * `lint [--skip-clippy] [--json OUT] [--inventory OUT]` — the
 //!   workspace's static-analysis gate, in two stages:
 //!   1. **source lints** (see [`xtask::lints`]): the line-based rules
@@ -59,10 +53,15 @@
 //!
 //! Exit code 0 means the tree is clean; 1 means violations were printed.
 
-mod stage_diff;
 mod trace_analyze;
 
-use xtask::{expo_check, fixtures, lints, slo_check, trace_check, trace_read};
+/// The stage breakdown cases of the retired `stage-diff` command, run
+/// through [`xtask::gate`] with the same verdicts.
+#[cfg(test)]
+#[path = "gate/stage_diff_cases.rs"]
+mod stage_diff;
+
+use xtask::{expo_check, fixtures, gate, lints, trace_check, trace_read};
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
@@ -108,170 +107,98 @@ fn main() -> ExitCode {
                 ExitCode::from(2)
             }
         },
-        Some("stage-diff") => match (args.get(1), args.get(2)) {
-            (Some(base), Some(cur)) => {
-                let threshold = match parse_threshold(&args[3..]) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("xtask stage-diff: {e}");
-                        return ExitCode::from(2);
-                    }
-                };
-                run_stage_diff(Path::new(base), Path::new(cur), threshold)
-            }
-            _ => {
-                eprintln!(
-                    "usage: cargo xtask stage-diff <baseline.stages.json> \
-                     <current.stages.json> [--threshold F]"
-                );
+        Some("gate") => match parse_gate_args(&args[1..]) {
+            Ok(opts) => run_gate(&opts),
+            Err(e) => {
+                eprintln!("xtask gate: {e}\nusage: {GATE_USAGE}");
                 ExitCode::from(2)
             }
         },
         Some("bless-baseline") => bless_baseline(),
-        Some("slo-check") => match args.get(1) {
-            Some(file) => match parse_slo_args(&args[2..]) {
-                Ok(opts) => run_slo_check(Path::new(file), &opts),
-                Err(e) => {
-                    eprintln!("xtask slo-check: {e}");
-                    ExitCode::from(2)
-                }
-            },
-            None => {
-                eprintln!(
-                    "usage: cargo xtask slo-check <result.json> [--p99-ns N] [--min-qps F] \
-                     [--p99-queue-ns N] [--p99-exec-ns N] [--baseline FILE] [--slack F]"
-                );
-                ExitCode::from(2)
-            }
-        },
         _ => {
             eprintln!(
                 "usage: cargo xtask lint [--skip-clippy] [--json OUT] [--inventory OUT] | \
                  lint-fixtures | check-trace <trace.json> | expo-check <scrape.txt> | \
                  trace-analyze <trace.json> [--stage NAME] [--json OUT] [--check] \
                  [--min-util F] | \
-                 stage-diff <base.json> <cur.json> [--threshold F] | bless-baseline | \
-                 slo-check <result.json> [--p99-ns N] [--min-qps F] [--p99-queue-ns N] \
-                 [--p99-exec-ns N] [--baseline FILE] [--slack F]"
+                 gate <current.json> [--baseline BASE] [--max KEY=V]... [--min KEY=V]... | \
+                 bless-baseline"
             );
             ExitCode::from(2)
         }
     }
 }
 
-/// Options for `slo-check` after the result-file argument.
-#[derive(Default)]
-struct SloArgs {
-    p99_ns: Option<u64>,
-    min_qps: Option<f64>,
-    p99_queue_ns: Option<u64>,
-    p99_exec_ns: Option<u64>,
+/// Usage line of `gate`.
+const GATE_USAGE: &str =
+    "cargo xtask gate <current.json> [--baseline BASE] [--max KEY=V]... [--min KEY=V]...";
+
+/// Arguments of `gate`.
+struct GateOpts {
+    current: PathBuf,
     baseline: Option<PathBuf>,
-    slack: Option<f64>,
+    bounds: Vec<gate::Bound>,
 }
 
-fn parse_slo_args(rest: &[String]) -> Result<SloArgs, String> {
-    let mut opts = SloArgs::default();
+fn parse_gate_args(rest: &[String]) -> Result<GateOpts, String> {
+    let mut current = None;
+    let mut baseline = None;
+    let mut bounds = Vec::new();
     let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--p99-ns" => {
-                let value = it.next().ok_or("--p99-ns needs a value")?;
-                opts.p99_ns = Some(
-                    value
-                        .parse()
-                        .map_err(|e| format!("--p99-ns: {e} (got `{value}`)"))?,
-                );
-            }
-            "--min-qps" => {
-                let value = it.next().ok_or("--min-qps needs a value")?;
-                opts.min_qps = match value.parse::<f64>() {
-                    Ok(f) if f.is_finite() && f >= 0.0 => Some(f),
-                    _ => return Err(format!("--min-qps must be non-negative, got `{value}`")),
-                };
-            }
-            "--p99-queue-ns" => {
-                let value = it.next().ok_or("--p99-queue-ns needs a value")?;
-                opts.p99_queue_ns = Some(
-                    value
-                        .parse()
-                        .map_err(|e| format!("--p99-queue-ns: {e} (got `{value}`)"))?,
-                );
-            }
-            "--p99-exec-ns" => {
-                let value = it.next().ok_or("--p99-exec-ns needs a value")?;
-                opts.p99_exec_ns = Some(
-                    value
-                        .parse()
-                        .map_err(|e| format!("--p99-exec-ns: {e} (got `{value}`)"))?,
-                );
-            }
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
             "--baseline" => {
                 let path = it.next().ok_or("--baseline needs a file path")?;
-                opts.baseline = Some(PathBuf::from(path));
+                baseline = Some(PathBuf::from(path));
             }
-            "--slack" => {
-                let value = it.next().ok_or("--slack needs a value")?;
-                opts.slack = match value.parse::<f64>() {
-                    Ok(f) if f.is_finite() && f >= 0.0 => Some(f),
-                    _ => return Err(format!("--slack must be non-negative, got `{value}`")),
-                };
+            flag @ ("--max" | "--min") => {
+                let spec = it.next().ok_or_else(|| format!("{flag} needs KEY=V"))?;
+                bounds.push(gate::Bound::parse(flag, spec)?);
             }
-            other => return Err(format!("unexpected argument `{other}`")),
+            other if other.starts_with("--") || current.is_some() => {
+                return Err(format!("unexpected argument `{other}`"))
+            }
+            file => current = Some(PathBuf::from(file)),
         }
     }
-    if opts.slack.is_some() && opts.baseline.is_none() {
-        return Err("--slack only makes sense with --baseline".into());
-    }
-    Ok(opts)
+    Ok(GateOpts {
+        current: current.ok_or("missing the file to gate")?,
+        baseline,
+        bounds,
+    })
 }
 
-/// Gates a closed-loop result file on SLO thresholds (explicit flags,
-/// baseline-derived, or both — explicit wins per dimension).
-fn run_slo_check(path: &Path, args: &SloArgs) -> ExitCode {
-    let text = match trace_read::read_file("slo-check", path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut thresholds = slo_check::SloThresholds::default();
-    if let Some(baseline_path) = &args.baseline {
-        let baseline = trace_read::read_file("slo-check", baseline_path)
-            .and_then(|t| slo_check::parse_result("baseline", &t));
-        match baseline {
-            Ok(b) => {
-                thresholds = slo_check::baseline_thresholds(
-                    &b,
-                    args.slack.unwrap_or(slo_check::DEFAULT_SLACK),
-                );
-            }
-            Err(e) => {
-                eprintln!("xtask slo-check: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    // Explicit flags override the baseline-derived value for their
-    // dimension.
-    thresholds.p99_ns = args.p99_ns.or(thresholds.p99_ns);
-    thresholds.min_qps = args.min_qps.or(thresholds.min_qps);
-    thresholds.p99_queue_ns = args.p99_queue_ns.or(thresholds.p99_queue_ns);
-    thresholds.p99_exec_ns = args.p99_exec_ns.or(thresholds.p99_exec_ns);
-    match slo_check::check_slo_text(&text, &thresholds) {
+/// Gates a stage breakdown or closed-loop result; exit 0 iff every
+/// baseline row and explicit bound held and at least one was compared.
+fn run_gate(opts: &GateOpts) -> ExitCode {
+    let texts = trace_read::read_file("gate", &opts.current).and_then(|cur| {
+        let base = opts
+            .baseline
+            .as_deref()
+            .map(|path| trace_read::read_file("gate", path))
+            .transpose()?;
+        Ok((cur, base))
+    });
+    let outcome = texts.and_then(|(cur, base)| {
+        gate::gate_text(&cur, base.as_deref(), &opts.bounds).map_err(|e| format!("xtask gate: {e}"))
+    });
+    match outcome {
         Ok(out) => {
             eprint!("{}", out.report);
-            if out.failed {
-                eprintln!("xtask slo-check: {} FAILED", path.display());
+            if out.failed() {
+                eprintln!(
+                    "xtask gate: {} FAILED (intentional shift? refresh the baselines \
+                     with `cargo xtask bless-baseline`)",
+                    opts.current.display()
+                );
                 ExitCode::FAILURE
             } else {
-                eprintln!("xtask slo-check: {} ok", path.display());
+                eprintln!("xtask gate: {} ok", opts.current.display());
                 ExitCode::SUCCESS
             }
         }
         Err(e) => {
-            eprintln!("xtask slo-check: {e}");
+            eprintln!("{e}");
             ExitCode::FAILURE
         }
     }
@@ -362,61 +289,6 @@ fn run_trace_analyze(path: &Path, opts: &AnalyzeOpts) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Parses `[--threshold F]` from the tail of a stage-diff invocation.
-fn parse_threshold(rest: &[String]) -> Result<f64, String> {
-    match rest {
-        [] => Ok(0.10),
-        [flag, value] if flag == "--threshold" => match value.parse::<f64>() {
-            Ok(t) if t > 0.0 && t.is_finite() => Ok(t),
-            _ => Err(format!(
-                "--threshold must be a positive number, got `{value}`"
-            )),
-        },
-        _ => Err(format!("unexpected arguments: {rest:?}")),
-    }
-}
-
-/// Diffs two bench stage-breakdown JSON files; exit 0 iff every stage's
-/// time share and peak memory stayed within the threshold.
-fn run_stage_diff(base: &Path, cur: &Path, threshold: f64) -> ExitCode {
-    let (base_text, cur_text) = match (
-        trace_read::read_file("stage-diff", base),
-        trace_read::read_file("stage-diff", cur),
-    ) {
-        (Ok(b), Ok(c)) => (b, c),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match stage_diff::diff_stage_text(&base_text, &cur_text, threshold) {
-        Ok(out) => {
-            eprint!("{}", out.report);
-            if out.failed {
-                eprintln!(
-                    "xtask stage-diff: {} vs {} FAILED \
-                     (intentional shift? refresh the baseline with \
-                     `cargo xtask bless-baseline`)",
-                    base.display(),
-                    cur.display()
-                );
-                ExitCode::FAILURE
-            } else {
-                eprintln!(
-                    "xtask stage-diff: {} vs {} ok",
-                    base.display(),
-                    cur.display()
-                );
-                ExitCode::SUCCESS
-            }
-        }
-        Err(e) => {
-            eprintln!("xtask stage-diff: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 /// Validates an admin-plane metrics scrape; exit 0 iff it is a well-formed,
 /// non-empty exposition document (see [`expo_check`]).
 fn check_expo(path: &Path) -> ExitCode {
@@ -461,180 +333,41 @@ fn check_trace(path: &Path) -> ExitCode {
     }
 }
 
-/// Reruns the CI obs smoke command and rewrites the committed stage
-/// baseline with its output. The smoke must produce JSON that parses and
-/// stage-diffs cleanly against itself before the baseline is replaced.
+/// Reruns the CI smoke of every committed baseline and, once each fresh
+/// output passed the gate against itself, rewrites the baselines.
 fn bless_baseline() -> ExitCode {
     let root = workspace_root();
-    let baseline = root.join("results/baselines/table2_smoke.stages.json");
-    let trace_tmp = root.join("target/bless-baseline.trace.json");
-    eprintln!("xtask bless-baseline: running the CI obs smoke (reps 5, all obs flags)...");
-    // Mirror of the "Bench smoke with all obs flags" CI step; keep the two
-    // in sync or the blessed baseline will not match what CI measures.
-    let output = Command::new(std::env::var("CARGO").unwrap_or_else(|_| "cargo".into()))
-        .current_dir(&root)
-        .args([
-            "run",
-            "-q",
-            "--release",
-            "-p",
-            "parcsr-bench",
-            "--features",
-            "obs",
-            "--bin",
-            "table2",
-            "--",
-            "--scale",
-            "0.02",
-            "--reps",
-            "5",
-            "--procs",
-            "1,2",
-            "--trace-sample",
-            "8",
-            "--metrics",
-            "--mem-metrics",
-            "--trace",
-        ])
-        .arg(&trace_tmp)
-        .arg("--json")
-        .output();
-    let output = match output {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("xtask bless-baseline: could not run cargo: {e}");
-            return ExitCode::FAILURE;
+    let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
+    let result = gate::bless(&root, gate::BLESS, |smoke| {
+        eprintln!("xtask bless-baseline: cargo {}", smoke.cargo_args);
+        let output = Command::new(&cargo)
+            .current_dir(&root)
+            .args(smoke.cargo_args.split_whitespace())
+            .output()
+            .map_err(|e| format!("could not run cargo: {e}"))?;
+        if !output.status.success() {
+            return Err(format!(
+                "smoke for {} failed:\n{}",
+                smoke.baseline,
+                String::from_utf8_lossy(&output.stderr)
+            ));
         }
-    };
-    if !output.status.success() {
-        eprintln!("xtask bless-baseline: smoke run failed:");
-        eprint!("{}", String::from_utf8_lossy(&output.stderr));
-        return ExitCode::FAILURE;
-    }
-    let text = match String::from_utf8(output.stdout) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("xtask bless-baseline: smoke output is not UTF-8: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // Self-diff exercises the full baseline parser on the new text; a file
-    // that cannot even diff against itself must not become the baseline.
-    if let Err(e) = stage_diff::diff_stage_text(&text, &text, 0.25) {
-        eprintln!("xtask bless-baseline: smoke output is not a valid stage breakdown: {e}");
-        return ExitCode::FAILURE;
-    }
-    if let Some(dir) = baseline.parent() {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("xtask bless-baseline: cannot create {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Err(e) = std::fs::write(&baseline, &text) {
-        eprintln!(
-            "xtask bless-baseline: cannot write {}: {e}",
-            baseline.display()
-        );
-        return ExitCode::FAILURE;
-    }
-    eprintln!(
-        "xtask bless-baseline: wrote {} ({} bytes); review and commit it",
-        baseline.display(),
-        text.len()
-    );
-    bless_closed_loop_baseline(&root)
-}
-
-/// Reruns the CI serving smoke (`queries_closed_loop`, same flags as the
-/// `slo` CI job) and rewrites `results/baselines/closed_loop_smoke.json`.
-/// The fresh result must parse as a `parcsr.closed_loop.v1` document and
-/// slo-check cleanly against itself before it replaces the baseline.
-fn bless_closed_loop_baseline(root: &Path) -> ExitCode {
-    let baseline = root.join("results/baselines/closed_loop_smoke.json");
-    eprintln!("xtask bless-baseline: running the CI serving smoke (queries_closed_loop)...");
-    // Mirror of the `slo` CI job's smoke step; keep the two in sync or the
-    // blessed baseline will not match what CI measures.
-    let output = Command::new(std::env::var("CARGO").unwrap_or_else(|_| "cargo".into()))
-        .current_dir(root)
-        .args([
-            "run",
-            "-q",
-            "--release",
-            "-p",
-            "parcsr-bench",
-            "--features",
-            "obs",
-            "--bin",
-            "queries_closed_loop",
-            "--",
-            "--graph",
-            "hub",
-            "--scale",
-            "0.02",
-            "--clients",
-            "2",
-            "--duration-ms",
-            "600",
-            "--window-ms",
-            "150",
-            "--seed",
-            "42",
-            "--json",
-        ])
-        .output();
-    let output = match output {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("xtask bless-baseline: could not run cargo: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if !output.status.success() {
-        eprintln!("xtask bless-baseline: serving smoke failed:");
-        eprint!("{}", String::from_utf8_lossy(&output.stderr));
-        return ExitCode::FAILURE;
-    }
-    let text = match String::from_utf8(output.stdout) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("xtask bless-baseline: serving smoke output is not UTF-8: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // Self-check exercises the full result parser and threshold machinery;
-    // a result that cannot pass against itself must not become the
-    // baseline.
-    let self_thresholds = match slo_check::parse_result("fresh result", &text) {
-        Ok(r) => slo_check::baseline_thresholds(&r, slo_check::DEFAULT_SLACK),
-        Err(e) => {
-            eprintln!("xtask bless-baseline: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match slo_check::check_slo_text(&text, &self_thresholds) {
-        Ok(out) if !out.failed => {}
-        Ok(_) => {
-            eprintln!("xtask bless-baseline: fresh result fails slo-check against itself");
-            return ExitCode::FAILURE;
+        String::from_utf8(output.stdout)
+            .map_err(|e| format!("smoke for {} wrote non-UTF-8 output: {e}", smoke.baseline))
+    });
+    match result {
+        Ok(written) => {
+            for path in written {
+                eprintln!("xtask bless-baseline: wrote {}", path.display());
+            }
+            eprintln!("xtask bless-baseline: review and commit the baselines");
+            ExitCode::SUCCESS
         }
         Err(e) => {
-            eprintln!("xtask bless-baseline: {e}");
-            return ExitCode::FAILURE;
+            eprintln!("xtask bless-baseline: {e} (no baseline was written)");
+            ExitCode::FAILURE
         }
     }
-    if let Err(e) = std::fs::write(&baseline, &text) {
-        eprintln!(
-            "xtask bless-baseline: cannot write {}: {e}",
-            baseline.display()
-        );
-        return ExitCode::FAILURE;
-    }
-    eprintln!(
-        "xtask bless-baseline: wrote {} ({} bytes); review and commit it",
-        baseline.display(),
-        text.len()
-    );
-    ExitCode::SUCCESS
 }
 
 /// The workspace root: two levels above this crate's manifest.

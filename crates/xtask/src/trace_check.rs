@@ -8,7 +8,7 @@
 //! actually recorded the pipeline.
 //!
 //! Structural parsing lives in [`crate::trace_read`] (shared with
-//! `stage-diff` and `trace-analyze`); this module adds the semantic rules:
+//! `trace-analyze`); this module adds the semantic rules:
 //!
 //! * complete (`"X"`) span events must be time-ordered per thread, and
 //!   their `args` payload (when present) must hold only non-negative

@@ -1,6 +1,7 @@
-//! Shared reader for Chrome trace-event JSON, used by `check-trace`,
-//! `stage-diff`, and `trace-analyze` — one parser, one set of error
-//! messages, instead of each command re-walking raw [`Json`].
+//! Shared reader for Chrome trace-event JSON, used by `check-trace` and
+//! `trace-analyze` — one parser, one set of error messages, instead of
+//! each command re-walking raw [`Json`] — plus the file and labeled-JSON
+//! readers `gate` shares with them.
 //!
 //! Parsing here is *structural*: the file must be a non-empty JSON array of
 //! objects, each with a `name`, a numeric `ts`, a known phase (`"X"`
@@ -58,7 +59,7 @@ pub fn read_file(cmd: &str, path: &std::path::Path) -> Result<String, String> {
 }
 
 /// Parses `text` as a labeled JSON document (`"{which}: not valid JSON"`),
-/// the shape `stage-diff` reports per side.
+/// the shape `gate` reports per side.
 pub fn parse_json(which: &str, text: &str) -> Result<Json, String> {
     Json::parse(text).map_err(|e| format!("{which}: not valid JSON: {e}"))
 }

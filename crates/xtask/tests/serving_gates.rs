@@ -1,4 +1,4 @@
-//! Integration tests for the serving-telemetry gates: `slo-check` against
+//! Integration tests for the serving-telemetry gates: `gate` against
 //! seeded good/bad closed-loop results, and `check-trace`'s `query.win.*`
 //! windowed-counter rules against accept/reject trace fixtures. The
 //! fixtures live in `tests/serving_fixtures/` and pin the artifact shapes
@@ -7,7 +7,7 @@
 
 use std::path::PathBuf;
 
-use xtask::slo_check::{self, SloThresholds};
+use xtask::gate::{self, Bound};
 use xtask::trace_check::check_trace_text;
 
 fn fixture(name: &str) -> String {
@@ -17,50 +17,53 @@ fn fixture(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 
-/// The thresholds the CI `slo` job enforces on the serving smoke (loose on
+/// The bounds the CI `slo` job enforces on the serving smoke (loose on
 /// purpose: a laptop-class runner sustains hundreds of kq/s with p99 in
 /// the low microseconds, so 1 ms / 10 kq/s only trips on order-of-magnitude
 /// regressions). The phase ceilings gate the queue/exec decomposition the
 /// same way: sub-millisecond phases on a healthy run, so only a collapsed
 /// dispatch path or a saturated pool trips them.
-const CI_THRESHOLDS: SloThresholds = SloThresholds {
-    p99_ns: Some(1_000_000),
-    min_qps: Some(10_000.0),
-    p99_queue_ns: Some(500_000),
-    p99_exec_ns: Some(1_000_000),
-};
+fn ci_bounds() -> Vec<Bound> {
+    vec![
+        Bound::Max("p99_ns".into(), 1_000_000.0),
+        Bound::Min("qps".into(), 10_000.0),
+        Bound::Max("queue.p99_ns".into(), 500_000.0),
+        Bound::Max("exec.p99_ns".into(), 1_000_000.0),
+    ]
+}
 
 #[test]
 fn good_result_passes_the_ci_thresholds() {
-    let out = slo_check::check_slo_text(&fixture("closed_loop_good.json"), &CI_THRESHOLDS)
+    let out = gate::gate_text(&fixture("closed_loop_good.json"), None, &ci_bounds())
         .expect("good fixture must parse");
-    assert!(!out.failed, "{}", out.report);
-    assert!(out.report.contains("p99:"), "{}", out.report);
+    assert!(!out.failed(), "{}", out.report);
+    assert_eq!(out.compared, 4, "{}", out.report);
+    assert!(out.report.contains("p99_ns"), "{}", out.report);
     assert!(out.report.contains("ok"), "{}", out.report);
 }
 
 #[test]
 fn bad_result_fails_every_dimension() {
-    let out = slo_check::check_slo_text(&fixture("closed_loop_bad.json"), &CI_THRESHOLDS)
+    let out = gate::gate_text(&fixture("closed_loop_bad.json"), None, &ci_bounds())
         .expect("bad fixture is schema-valid; only the numbers are bad");
-    assert!(out.failed);
+    assert!(out.failed());
     // The latency ceiling, the throughput floor, and both phase ceilings
     // are violated.
+    assert_eq!(out.violations, 4, "{}", out.report);
     assert_eq!(out.report.matches("VIOLATED").count(), 4, "{}", out.report);
-    assert!(out.report.contains("queue p99"), "{}", out.report);
-    assert!(out.report.contains("exec p99"), "{}", out.report);
+    assert!(out.report.contains("queue.p99_ns"), "{}", out.report);
+    assert!(out.report.contains("exec.p99_ns"), "{}", out.report);
 }
 
 #[test]
 fn baseline_mode_gates_the_bad_result_against_the_good_one() {
-    let base = slo_check::parse_result("baseline", &fixture("closed_loop_good.json")).unwrap();
-    let thresholds = slo_check::baseline_thresholds(&base, slo_check::DEFAULT_SLACK);
+    let good = fixture("closed_loop_good.json");
     // The good result passes against itself-with-slack...
-    let out = slo_check::check_slo_text(&fixture("closed_loop_good.json"), &thresholds).unwrap();
-    assert!(!out.failed, "{}", out.report);
+    let out = gate::gate_text(&good, Some(&good), &[]).unwrap();
+    assert!(!out.failed(), "{}", out.report);
     // ...the bad one (3000× the latency, 0.5% of the throughput) does not.
-    let out = slo_check::check_slo_text(&fixture("closed_loop_bad.json"), &thresholds).unwrap();
-    assert!(out.failed);
+    let out = gate::gate_text(&fixture("closed_loop_bad.json"), Some(&good), &[]).unwrap();
+    assert!(out.failed());
 }
 
 #[test]
@@ -85,7 +88,7 @@ fn fixtures_carry_per_kind_and_per_class_rollups() {
         );
         assert_eq!(
             doc.get("schema").unwrap().as_str(),
-            Some(slo_check::SCHEMA),
+            Some(gate::CLOSED_LOOP_SCHEMA),
             "{name}"
         );
     }
@@ -97,10 +100,18 @@ fn fixtures_carry_phase_rollups_and_exemplars() {
     // `phases`, the per-class rollup, and the tail-exemplar block.
     for name in ["closed_loop_good.json", "closed_loop_bad.json"] {
         let doc = parcsr_obs::json::Json::parse(&fixture(name)).unwrap();
-        let result = slo_check::parse_result("fixture", &fixture(name)).unwrap();
+        let result = gate::parse_artifact("fixture", &fixture(name)).unwrap();
+        for key in ["queue.p99_ns", "exec.p99_ns"] {
+            assert!(result.row(key).is_some(), "{name}: no `{key}` row");
+        }
+        let phases = doc.get("overall").unwrap().get("phases").unwrap();
         for phase in ["queue", "exec", "reply"] {
             assert!(
-                result.phase(phase).is_some(),
+                phases
+                    .as_array()
+                    .unwrap()
+                    .iter()
+                    .any(|p| p.get("name").and_then(|n| n.as_str()) == Some(phase)),
                 "{name}: overall.phases missing `{phase}`"
             );
         }

@@ -40,7 +40,7 @@ cargo run --release -q -p parcsr-bench --features obs --bin fig7 -- \
 # schema carries a `stages` array (with `mem_peak_bytes`, and with
 # `--imbalance` a per-stage utilization/cv/critical-path object) and a
 # `mem` object on every processor sample. Compare two of these with
-# `cargo xtask stage-diff <baseline> <current>`.
+# `cargo xtask gate <current> --baseline <baseline>`.
 echo "== Table II (JSON, per-stage breakdown + memory + imbalance) =="
 cargo run --release -q -p parcsr-bench --features obs --bin table2 -- \
   --json --metrics --mem-metrics --imbalance "$@" > "${OUT}.table2.stages.json"
@@ -48,9 +48,9 @@ cargo run --release -q -p parcsr-bench --features obs --bin table2 -- \
 # Closed-loop serving run: sustained qps + latency percentiles per window,
 # per query kind, and per degree class on the 2M-edge hub graph — plus the
 # queue/exec/reply phase decomposition and per-window tail exemplars —
-# archived as a *.slo.json summary (`cargo xtask slo-check <file>
-# --p99-ns/--p99-queue-ns/...` to gate a run; compare two runs' overall
-# blocks for serving drift).
+# archived as a *.slo.json summary (`cargo xtask gate <file>
+# --max p99_ns=N --max queue.p99_ns=N ...` to gate a run, `--baseline
+# <other run>` for serving drift).
 echo "== closed-loop serving (qps + latency percentiles + SLO summary) =="
 # Each run exposes the admin plane on a per-client-count port; a mid-run
 # `parcsr watch --once` archives a live exposition scrape next to the SLO
