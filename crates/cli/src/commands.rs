@@ -8,7 +8,7 @@ use std::io::{BufReader, BufWriter};
 use std::time::Instant;
 
 use parcsr::query::{edges_exist_batch_binary, neighbors_batch};
-use parcsr::{BitPackedCsr, CsrBuilder, PackedCsrMode};
+use parcsr::{with_processors, BitPackedCsr, CsrBuilder, PackedCsrMode};
 use parcsr_graph::gen::{barabasi_albert, erdos_renyi, rmat, BaParams, ErParams, RmatParams};
 use parcsr_graph::{io as gio, DegreeStats, EdgeList};
 
@@ -175,8 +175,13 @@ fn generate(
 }
 
 fn compress(input: &str, out: &str, gap: bool, procs: usize) -> Result<String, CliError> {
-    let graph =
-        gio::read_edge_list_file(input).map_err(|e| err(format!("reading {input}: {e}")))?;
+    // The parse splits each block across the current pool, so pin it to
+    // `procs` like the build: `--procs 1` is sequential end to end.
+    let t = Instant::now();
+    let graph = with_processors(procs, || gio::read_edge_list_file(input))
+        .map_err(|e| err(format!("reading {input}: {e}")))?;
+    let parse_s = t.elapsed().as_secs_f64();
+    let text_bytes = std::fs::metadata(input).map_or(0, |m| m.len());
     let mode = if gap {
         PackedCsrMode::Gap
     } else {
@@ -200,6 +205,12 @@ fn compress(input: &str, out: &str, gap: bool, procs: usize) -> Result<String, C
         "compressed {} nodes / {} edges in {total_ms:.1} ms with {procs} processors",
         csr.num_nodes(),
         csr.num_edges()
+    );
+    let _ = writeln!(
+        report,
+        "  parse: {text_bytes} B in {:.1} ms ({:.1} MB/s)",
+        parse_s * 1e3,
+        text_bytes as f64 / 1e6 / parse_s.max(1e-9)
     );
     let _ = writeln!(
         report,
@@ -320,6 +331,11 @@ mod tests {
         })
         .unwrap();
         assert!(report.contains("packed CSR"), "{report}");
+        let parse_line = report.lines().find(|l| l.contains("parse:")).unwrap();
+        assert!(
+            parse_line.contains(" B in ") && parse_line.ends_with("MB/s)"),
+            "{report}"
+        );
 
         let report = execute(&Command::Info {
             input: pcsr.clone(),

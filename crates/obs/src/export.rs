@@ -63,6 +63,12 @@ fn span_args_json(r: &SpanRecord) -> Json {
     if let Some(chunks) = r.args.chunks {
         args.push(("chunks".into(), Json::Int(chunks as i64)));
     }
+    if let Some(bytes) = r.args.bytes {
+        args.push(("bytes".into(), Json::Int(bytes as i64)));
+    }
+    if let Some(lines) = r.args.lines {
+        args.push(("lines".into(), Json::Int(lines as i64)));
+    }
     Json::Object(args)
 }
 
@@ -510,6 +516,17 @@ mod tests {
         }
         assert_eq!(events[0].get("ts").unwrap().as_f64(), Some(1.0));
         assert_eq!(events[0].get("dur").unwrap().as_f64(), Some(8.0));
+    }
+
+    #[test]
+    fn chrome_trace_emits_input_size_args() {
+        let mut parse = span("parse", 0, 1_000, 0, 0);
+        parse.args = SpanArgs::new().bytes(4096).lines(300).edges(290);
+        let json = chrome_trace_json(&[parse]);
+        let args = json.as_array().unwrap()[0].get("args").unwrap();
+        assert_eq!(args.get("bytes").unwrap().as_i64(), Some(4096));
+        assert_eq!(args.get("lines").unwrap().as_i64(), Some(300));
+        assert_eq!(args.get("edges").unwrap().as_i64(), Some(290));
     }
 
     #[test]

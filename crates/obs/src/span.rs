@@ -68,6 +68,10 @@ pub struct SpanArgs {
     /// Number of chunks a planner produced (planner spans, not per-chunk
     /// spans).
     pub chunks: Option<u64>,
+    /// Number of input bytes the span consumed.
+    pub bytes: Option<u64>,
+    /// Number of input text lines the span consumed.
+    pub lines: Option<u64>,
 }
 
 impl SpanArgs {
@@ -80,6 +84,8 @@ impl SpanArgs {
             chunk_len: None,
             bits: None,
             chunks: None,
+            bytes: None,
+            lines: None,
         }
     }
 
@@ -118,6 +124,20 @@ impl SpanArgs {
         self
     }
 
+    /// Sets the input byte count.
+    #[must_use]
+    pub const fn bytes(mut self, n: u64) -> Self {
+        self.bytes = Some(n);
+        self
+    }
+
+    /// Sets the input line count.
+    #[must_use]
+    pub const fn lines(mut self, n: u64) -> Self {
+        self.lines = Some(n);
+        self
+    }
+
     /// True when no argument is set.
     #[must_use]
     pub const fn is_empty(&self) -> bool {
@@ -126,6 +146,8 @@ impl SpanArgs {
             && self.chunk_len.is_none()
             && self.bits.is_none()
             && self.chunks.is_none()
+            && self.bytes.is_none()
+            && self.lines.is_none()
     }
 }
 

@@ -13,7 +13,7 @@
 //! * complete (`"X"`) span events must be time-ordered per thread, and
 //!   their `args` payload (when present) must hold only non-negative
 //!   integers for the typed keys (`depth`, `sample`, `edges`, `chunk`,
-//!   `chunk_len`, `bits`, `chunks`). Per-chunk spans (names ending `.chunk` or
+//!   `chunk_len`, `bits`, `chunks`, `bytes`, `lines`). Per-chunk spans (names ending `.chunk` or
 //!   `_chunk`) must carry a `chunk` index — a chunk span without its index
 //!   means the instrumentation site lost its payload.
 //! * counter (`"C"`) events — the memory / metric series. Must use a known
@@ -52,6 +52,8 @@ const SPAN_ARG_KEYS: &[&str] = &[
     "chunk_len",
     "bits",
     "chunks",
+    "bytes",
+    "lines",
 ];
 
 /// Metric namespaces counter events may use. A counter outside these was
@@ -371,6 +373,14 @@ mod tests {
         );
         let err = check_trace_text(&bad).unwrap_err();
         assert!(err.contains("`bits`"), "{err}");
+
+        let bad = format!(
+            "[{}]",
+            event("parse", 0, 10)
+                .replace(r#""args":{"depth":0}"#, r#""args":{"depth":0,"lines":-1}"#)
+        );
+        let err = check_trace_text(&bad).unwrap_err();
+        assert!(err.contains("`lines`"), "{err}");
     }
 
     #[test]
