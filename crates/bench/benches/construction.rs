@@ -61,21 +61,25 @@ fn bench_packing_stage(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_sort_stage(c: &mut Criterion) {
-    // The pre-processing the paper assumes away: rayon's parallel
-    // comparison sort vs the LSD radix sort (DESIGN.md ablation "sort").
+fn bench_build_stage(c: &mut Criterion) {
+    // Building from unsorted input (DESIGN.md ablation "build"): the
+    // counting build (count, scatter, sort each row) vs sorting a copy of
+    // the whole edge list and taking the paper's presorted path.
     let graph = rmat(RmatParams::new(N, M, 42));
-    let mut group = c.benchmark_group("sort_stage");
+    let mut group = c.benchmark_group("build_stage");
     group.measurement_time(std::time::Duration::from_secs(3));
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.sample_size(10);
     group.throughput(Throughput::Elements(M as u64));
-    group.bench_function("comparison", |b| {
-        b.iter(|| black_box(graph.sorted_by_source()));
-    });
-    for &chunks in &[4usize, 16] {
-        group.bench_with_input(BenchmarkId::new("radix", chunks), &graph, |b, g| {
-            b.iter(|| black_box(g.sorted_by_source_radix(chunks)));
+    for &p in &[1usize, 4] {
+        let builder = CsrBuilder::new().processors(p);
+        group.bench_with_input(BenchmarkId::new("counting", p), &graph, |b, g| {
+            with_processors(p, || b.iter(|| black_box(builder.build(g))));
+        });
+        group.bench_with_input(BenchmarkId::new("sort_then_sorted", p), &graph, |b, g| {
+            with_processors(p, || {
+                b.iter(|| black_box(builder.build_from_sorted(&g.sorted_by_source()).0));
+            });
         });
     }
     group.finish();
@@ -85,6 +89,6 @@ criterion_group!(
     benches,
     bench_construction,
     bench_packing_stage,
-    bench_sort_stage
+    bench_build_stage
 );
 criterion_main!(benches);

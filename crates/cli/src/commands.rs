@@ -212,6 +212,8 @@ fn compress(input: &str, out: &str, gap: bool, procs: usize) -> Result<String, C
         parse_s * 1e3,
         text_bytes as f64 / 1e6 / parse_s.max(1e-9)
     );
+    // Sorted input reports `sort` 0 and the paper's stages; any other order
+    // reports the sequential count, the scatter and the per-row sort.
     let _ = writeln!(
         report,
         "  stages: sort {:.1} ms, degrees {:.1} ms, scan {:.1} ms, fill {:.1} ms",

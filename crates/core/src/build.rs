@@ -1,17 +1,26 @@
 //! Parallel CSR construction (Section III).
 //!
-//! Pipeline: sort the edge list by source (precondition of Algorithm 2) →
-//! compute the degree array in parallel (Algorithms 2–3) → prefix-sum the
-//! degrees into row offsets (Algorithm 1, the chunked scan) →
-//! fill the column array in parallel. Because the edge list is sorted by
-//! `(source, target)`, the column array *is* the target column of the sorted
-//! list, so the fill is a parallel copy and every row comes out sorted —
-//! which the query algorithms exploit for binary search.
+//! One chunked pass on the pool first checks whether the edge list is
+//! sorted by `(source, target)`, which picks one of two paths:
+//!
+//! * **Sorted input** (the paper's assumption) takes Algorithms 2–3: the
+//!   parallel degree array → prefix-sum the degrees into row offsets
+//!   (Algorithm 1, the chunked scan) → fill the column array in parallel.
+//!   The column array *is* the target column of the sorted list, so the
+//!   fill is a parallel copy and every row comes out sorted.
+//! * **Any other input** is counting-sorted by source instead of copied and
+//!   sorted whole: count the degrees → the same scan → scatter each target
+//!   to its row's next free slot → sort every row on the pool, over the
+//!   edge-weighted row plan, so a hub row stays inside one chunk.
+//!
+//! Both paths give the same CSR, byte for byte: each row holds its
+//! targets in ascending order, which the query algorithms exploit for
+//! binary search.
 
 use std::time::Instant;
 
 use parcsr_graph::{EdgeList, NodeId};
-use parcsr_runtime::{plan, run_chunked, split_mut_by_ranges};
+use parcsr_runtime::{plan, run_chunked, split_mut_by_ranges, Chunk};
 use parcsr_scan::inclusive_scan_chunked;
 
 use crate::degree::degrees_parallel;
@@ -168,13 +177,16 @@ impl Csr {
 /// decompose into.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BuildTimings {
-    /// Parallel sort of the edge list (0 when the input was pre-sorted).
+    /// Per-row target sort of the counting path (0 when the input was
+    /// sorted by `(source, target)`).
     pub sort_ms: f64,
-    /// Parallel degree computation (Algorithms 2–3).
+    /// The order check that picks the path, then the degree count: parallel
+    /// (Algorithms 2–3) on sorted input, sequential otherwise.
     pub degree_ms: f64,
     /// Prefix-sum of the degree array (Algorithm 1).
     pub scan_ms: f64,
-    /// Parallel column-array fill.
+    /// Column-array fill: a parallel copy on sorted input, a sequential
+    /// scatter through per-row cursors otherwise.
     pub fill_ms: f64,
 }
 
@@ -205,95 +217,128 @@ impl CsrBuilder {
         self
     }
 
-    /// Builds the CSR, sorting a copy of the edge list first.
+    /// Builds the CSR from an edge list in any order.
     pub fn build(&self, graph: &EdgeList) -> Csr {
         self.build_timed(graph).0
     }
 
-    /// Builds the CSR and reports per-stage timings.
+    /// Builds the CSR from an edge list in any order and reports per-stage
+    /// timings. Input sorted by `(source, target)` takes the paper's path;
+    /// any other input is counted, scattered and sorted row by row.
     pub fn build_timed(&self, graph: &EdgeList) -> (Csr, BuildTimings) {
-        let mut timings = BuildTimings::default();
-        let t = Instant::now();
-        let sorted = parcsr_obs::with_span_args(
-            "sort",
-            parcsr_obs::SpanArgs::new().edges(graph.num_edges() as u64),
-            || graph.sorted_by_source(),
-        );
-        timings.sort_ms = ms_since(t);
-        let csr = self.build_from_sorted_inner(&sorted, &mut timings);
-        (csr, timings)
+        self.build_checked(graph, false)
     }
 
-    /// Builds from an already-sorted edge list (the paper's assumed input;
-    /// skips the sort stage).
+    /// Builds from an edge list sorted by `(source, target)` (the paper's
+    /// assumed input): the same as [`build_timed`](Self::build_timed), but
+    /// an unsorted input is a caller error rather than another path.
     ///
     /// # Panics
     ///
-    /// Panics if the edge list is not sorted by source.
+    /// Panics if the edge list is not sorted by `(source, target)`.
     pub fn build_from_sorted(&self, graph: &EdgeList) -> (Csr, BuildTimings) {
-        let mut timings = BuildTimings::default();
-        let csr = self.build_from_sorted_inner(graph, &mut timings);
-        (csr, timings)
+        self.build_checked(graph, true)
     }
 
-    fn build_from_sorted_inner(&self, sorted: &EdgeList, timings: &mut BuildTimings) -> Csr {
-        let n = sorted.num_nodes();
+    fn build_checked(&self, graph: &EdgeList, require_sorted: bool) -> (Csr, BuildTimings) {
+        let n = graph.num_nodes();
+        let m = graph.num_edges();
         let p = self.processors;
+        let edges = graph.edges();
+        let mut timings = BuildTimings::default();
 
-        // Algorithms 2-3: parallel degree array.
-        let t = Instant::now();
-        let degrees = parcsr_obs::with_span_args(
-            "degree",
-            parcsr_obs::SpanArgs::new().edges(sorted.num_edges() as u64),
-            || degrees_parallel(sorted.edges(), n, p),
+        let presorted = timed(&mut timings.degree_ms, || graph.is_sorted_by_source());
+        assert!(
+            presorted || !require_sorted,
+            "build_from_sorted requires an edge list sorted by (source, target)"
         );
-        timings.degree_ms = ms_since(t);
+
+        // Algorithms 2-3 need sources sorted; a plain count does not.
+        let degrees = timed(&mut timings.degree_ms, || {
+            parcsr_obs::with_span_args(
+                "degree",
+                parcsr_obs::SpanArgs::new().edges(m as u64),
+                || {
+                    if presorted {
+                        degrees_parallel(edges, n, p)
+                    } else {
+                        graph.degrees_sequential()
+                    }
+                },
+            )
+        });
 
         // Algorithm 1: prefix sum -> row offsets. Built in place: write
         // `[0, degrees…]`, then inclusive-scan `[1..]`, so slot `u + 1` ends
         // up holding the end of row `u` and the last slot the edge total.
-        let t = Instant::now();
-        let offsets =
+        let offsets = timed(&mut timings.scan_ms, || {
             parcsr_obs::with_span_args("scan", parcsr_obs::SpanArgs::new().edges(n as u64), || {
                 let mut offsets = Vec::with_capacity(n + 1);
                 offsets.push(0u64);
                 offsets.extend(degrees.iter().map(|&d| u64::from(d)));
                 inclusive_scan_chunked(&mut offsets[1..], p);
                 offsets
-            });
-        timings.scan_ms = ms_since(t);
+            })
+        });
+        drop(degrees);
 
-        // Column fill: the sorted edge list's target column, copied in
-        // edge-weighted row chunks, so a hub row's edges stay inside one
-        // worker's chunk instead of inflating whichever row-balanced chunk
-        // drew the hub.
-        let t = Instant::now();
-        let targets: Vec<NodeId> = parcsr_obs::with_span_args(
-            "scatter",
-            parcsr_obs::SpanArgs::new().edges(sorted.num_edges() as u64),
-            || {
-                let plan = plan(&offsets, p);
-                let edge_ranges: Vec<_> = plan
-                    .iter()
-                    .map(|c| offsets[c.range.start] as usize..offsets[c.range.end] as usize)
-                    .collect();
-                let mut targets = vec![0 as NodeId; sorted.num_edges()];
-                let outs = split_mut_by_ranges(&mut targets, &edge_ranges);
-                run_chunked(
-                    "scatter.chunk",
-                    plan.into_iter().zip(outs).collect(),
-                    |chunk, out: &mut [NodeId]| {
-                        let first = offsets[chunk.range.start] as usize;
-                        let src = &sorted.edges()[first..first + out.len()];
-                        for (slot, &(_, v)) in out.iter_mut().zip(src) {
-                            *slot = v;
+        let mut targets = timed(&mut timings.fill_ms, || {
+            parcsr_obs::with_span_args(
+                "scatter",
+                parcsr_obs::SpanArgs::new().edges(m as u64),
+                || {
+                    let mut targets = vec![0 as NodeId; m];
+                    if presorted {
+                        // The sorted list's target column, copied in
+                        // edge-weighted row chunks.
+                        run_chunked(
+                            "scatter.chunk",
+                            row_chunks(&offsets, &mut targets, p),
+                            |chunk, out: &mut [NodeId]| {
+                                let first = offsets[chunk.range.start] as usize;
+                                let src = &edges[first..first + out.len()];
+                                for (slot, &(_, v)) in out.iter_mut().zip(src) {
+                                    *slot = v;
+                                }
+                            },
+                        );
+                    } else {
+                        // Each target goes to its row's next free slot, so
+                        // rows come out in input order.
+                        let mut cursor = offsets[..n].to_vec();
+                        for &(u, v) in edges {
+                            let slot = &mut cursor[u as usize];
+                            targets[*slot as usize] = v;
+                            *slot += 1;
                         }
+                    }
+                    targets
+                },
+            )
+        });
+
+        if !presorted {
+            timed(&mut timings.sort_ms, || {
+                parcsr_obs::with_span_args(
+                    "sort",
+                    parcsr_obs::SpanArgs::new().edges(m as u64),
+                    || {
+                        run_chunked(
+                            "sort.chunk",
+                            row_chunks(&offsets, &mut targets, p),
+                            |chunk, out: &mut [NodeId]| {
+                                let base = offsets[chunk.range.start];
+                                for u in chunk.range.clone() {
+                                    let row = (offsets[u] - base) as usize
+                                        ..(offsets[u + 1] - base) as usize;
+                                    out[row].sort_unstable();
+                                }
+                            },
+                        );
                     },
-                );
-                targets
-            },
-        );
-        timings.fill_ms = ms_since(t);
+                )
+            });
+        }
 
         let csr = Csr {
             num_nodes: n,
@@ -301,7 +346,7 @@ impl CsrBuilder {
             targets,
         };
         debug_assert_eq!(csr.validate(), Ok(()));
-        csr
+        (csr, timings)
     }
 }
 
@@ -311,8 +356,31 @@ impl Default for CsrBuilder {
     }
 }
 
-fn ms_since(t: Instant) -> f64 {
-    t.elapsed().as_secs_f64() * 1e3
+/// The edge-weighted row plan over `offsets` ([`plan`]), each chunk paired
+/// with its rows' slice of `targets`, so a hub row's edges stay inside one
+/// worker's chunk instead of inflating whichever row-balanced chunk drew
+/// the hub.
+fn row_chunks<'a>(
+    offsets: &[u64],
+    targets: &'a mut [NodeId],
+    p: usize,
+) -> Vec<(Chunk, &'a mut [NodeId])> {
+    let plan = plan(offsets, p);
+    let edge_ranges: Vec<_> = plan
+        .iter()
+        .map(|c| offsets[c.range.start] as usize..offsets[c.range.end] as usize)
+        .collect();
+    plan.into_iter()
+        .zip(split_mut_by_ranges(targets, &edge_ranges))
+        .collect()
+}
+
+/// Runs `f`, adding its wall-clock milliseconds to `ms`.
+fn timed<R>(ms: &mut f64, f: impl FnOnce() -> R) -> R {
+    let t = Instant::now();
+    let out = f();
+    *ms += t.elapsed().as_secs_f64() * 1e3;
+    out
 }
 
 #[cfg(test)]
@@ -404,6 +472,15 @@ mod tests {
         assert_eq!(timings.sort_ms, 0.0);
         assert!(timings.total_ms() >= 0.0);
         assert_eq!(csr.num_edges(), 2_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted by (source, target)")]
+    fn build_from_sorted_rejects_targets_out_of_order() {
+        // Sources in order, targets not: row 0 used to be stored as
+        // `[3, 1, 2]`, so binary search missed (0, 3) and the packed (0, 1).
+        let g = EdgeList::new(4, vec![(0, 3), (0, 1), (0, 2), (1, 0)]);
+        let _ = CsrBuilder::new().build_from_sorted(&g);
     }
 
     #[test]

@@ -118,12 +118,20 @@ pub fn degrees_parallel(edges: &[Edge], num_nodes: usize, processors: usize) -> 
 /// no sortedness requirement. Benchmarked against [`degrees_parallel`] to
 /// quantify the value of the paper's side-array design (DESIGN.md ablation
 /// "boundary side-array").
+///
+/// Iterates one edge range per current rayon thread, as
+/// [`degrees_parallel`] does, rather than one work item per edge, so the
+/// comparison measures the atomics and not per-edge task bookkeeping.
 pub fn degrees_atomic(edges: &[Edge], num_nodes: usize) -> Vec<u32> {
     let global: Vec<AtomicU32> = (0..num_nodes).map(|_| AtomicU32::new(0)).collect();
-    edges.par_iter().for_each(|&(u, _)| {
-        assert!((u as usize) < num_nodes, "node {u} out of range");
-        global[u as usize].fetch_add(1, Relaxed);
-    });
+    chunk_ranges(edges.len(), rayon::current_num_threads())
+        .par_iter()
+        .for_each(|r| {
+            for &(u, _) in &edges[r.clone()] {
+                assert!((u as usize) < num_nodes, "node {u} out of range");
+                global[u as usize].fetch_add(1, Relaxed);
+            }
+        });
     global.into_iter().map(AtomicU32::into_inner).collect()
 }
 

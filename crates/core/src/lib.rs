@@ -9,9 +9,10 @@
 //!   edge list, with the per-chunk side array (`globalTempDegree`) that
 //!   resolves chunk-boundary overlaps without synchronization on the hot
 //!   path, plus the atomic-increment ablation comparator.
-//! * [`build`] — the parallel CSR constructor: sort → parallel degrees →
-//!   prefix-sum offsets (the chunked scan of Algorithm 1) → parallel
-//!   column fill, with per-stage timings for the evaluation harness.
+//! * [`build`] — the parallel CSR constructor: on sorted input, parallel
+//!   degrees → prefix-sum offsets (the chunked scan of Algorithm 1) →
+//!   parallel column fill; on any other order, count → scan → scatter →
+//!   sort each row. Per-stage timings feed the evaluation harness.
 //! * [`packed`] — Algorithm 4: the bit-packed CSR (`iA` and `jA` compressed
 //!   with the fixed-width codec of \[7\], chunk-parallel with merge), the
 //!   `GetRowFromCSR` row extraction of \[28\], and the gap-coded variant.

@@ -1,5 +1,4 @@
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
 
 //! Graph substrate: edge lists, temporal edge lists, SNAP-format I/O,
 //! deterministic synthetic generators, and degree statistics.
@@ -30,14 +29,12 @@
 pub mod datasets;
 pub mod gen;
 pub mod io;
-pub mod sort;
 pub mod stats;
 pub mod temporal;
 pub mod types;
 pub mod weighted;
 
 pub use datasets::{paper_datasets, DatasetProfile};
-pub use sort::par_radix_sort_edges;
 pub use stats::DegreeStats;
 pub use temporal::{TemporalEdge, TemporalEdgeList, Timestamp};
 pub use types::{Edge, EdgeList, NodeId};

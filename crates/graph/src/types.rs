@@ -3,6 +3,8 @@
 
 use rayon::prelude::*;
 
+use parcsr_runtime::chunk_ranges;
+
 /// Node identifier. `u32` covers every graph in the paper's evaluation
 /// (largest: LiveJournal, 4.85M nodes) with half the memory traffic of
 /// `usize` — the construction pipeline is memory-bandwidth bound, so this
@@ -92,21 +94,17 @@ impl EdgeList {
         self.edges.par_sort_unstable();
     }
 
-    /// Returns a copy sorted by `(source, target)` using the parallel LSD
-    /// radix sort (`crate::sort`) with `chunks` logical processors — the
-    /// ablation comparator against rayon's comparison sort.
-    pub fn sorted_by_source_radix(&self, chunks: usize) -> EdgeList {
-        let mut edges = self.edges.clone();
-        crate::sort::par_radix_sort_edges(&mut edges, chunks);
-        EdgeList {
-            num_nodes: self.num_nodes,
-            edges,
-        }
-    }
-
-    /// True if edges are sorted by `(source, target)`.
+    /// True if edges are sorted by `(source, target)`. One chunked pass on
+    /// the pool: each chunk checks its own pairs and the pair across its
+    /// end, and stops at its first out-of-order pair.
     pub fn is_sorted_by_source(&self) -> bool {
-        self.edges.windows(2).all(|w| w[0] <= w[1])
+        let edges = &self.edges;
+        chunk_ranges(edges.len().saturating_sub(1), rayon::current_num_threads())
+            .par_iter()
+            .map(|r| edges[r.start..=r.end].windows(2).all(|w| w[0] <= w[1]))
+            .collect::<Vec<bool>>()
+            .into_iter()
+            .all(|sorted| sorted)
     }
 
     /// Returns a copy with duplicate edges removed (requires no sorting on
